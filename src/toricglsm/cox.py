@@ -8,7 +8,6 @@ collections describing V(I) as a union of coordinate subspaces.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,17 +22,42 @@ class CoxPresentation:
     ray_matrix: IntMatrix  # |rays| x n, rows are the rays
     charge_matrix: IntMatrix  # (|rays| - n) x |rays|
     pic_rank: int
-    pic_torsion: tuple  # invariant factors > 1; empty in the smooth complete case
     irrelevant_generators: tuple  # complement of each max cone, as index tuples
     primitive_collections: tuple  # minimal index sets spanning no cone
+
+
+def minimal_transversals(n, edges):
+    """Minimal subsets of range(n) meeting every edge, by Berge's algorithm,
+    sorted by size and then lexicographically.
+
+    No edges give [()]; an empty edge gives [].
+    """
+    masks = set()
+    for e in edges:
+        if any(not 0 <= v < n for v in e):
+            raise ValueError(f"edge {tuple(e)} leaves range({n})")
+        masks.add(sum(1 << v for v in set(e)))
+    found = [0]
+    for e in sorted(masks, key=int.bit_count):
+        keep = [t for t in found if t & e]
+        grown = {t | 1 << v for t in found if not t & e for v in range(n) if e >> v & 1}
+        grown = [g for g in grown if not any(o & g == o != g for o in grown)]
+        found = keep + [g for g in grown if not any(k & g == k for k in keep)]
+    sets = [tuple(v for v in range(n) if t >> v & 1) for t in found]
+    return sorted(sets, key=lambda s: (len(s), s))
+
+
+def _cone_complements(f: Fan):
+    return tuple(tuple(i for i in range(f.n_rays) if i not in c) for c in f.max_cones)
 
 
 @lru_cache(maxsize=None)
 def primitive_collections(f: Fan):
     """Minimal ray-index sets contained in no cone of the fan.
 
-    Exhaustive minimal-subset search; a subset spans a cone of a simplicial
-    fan exactly when it lies inside some maximal cone's ray set.
+    A subset spans a cone of a simplicial fan exactly when it lies inside
+    some maximal cone's ray set, so the primitive collections are the
+    minimal transversals of the maximal cones' complements (Batyrev 1991).
     """
     if f.n_rays > _MAX_RAYS_FOR_COLLECTIONS:
         raise ValueError(
@@ -42,30 +66,13 @@ def primitive_collections(f: Fan):
     rep = validate_fan(f)
     if not rep.ok:
         raise ValueError("invalid fan: " + "; ".join(rep.issues))
-    cone_sets = [set(c) for c in f.max_cones]
-
-    def in_some_cone(s):
-        return any(s <= c for c in cone_sets)
-
-    found = []
-    for size in range(1, f.n_rays + 1):
-        for comb in itertools.combinations(range(f.n_rays), size):
-            s = set(comb)
-            if in_some_cone(s):
-                continue
-            if any(set(p) <= s for p in found):
-                continue
-            if all(in_some_cone(s - {i}) for i in comb):
-                found.append(comb)
-    return tuple(found)
+    return tuple(minimal_transversals(f.n_rays, _cone_complements(f)))
 
 
 @lru_cache(maxsize=None)
 def cox_presentation(f: Fan) -> CoxPresentation:
     """X = (C^rays - V(I)) / G, presented by exact integer data."""
-    rep = validate_fan(f)
-    if not rep.ok:
-        raise ValueError("invalid fan: " + "; ".join(rep.issues))
+    collections = primitive_collections(f)  # checks the ray cap, validates
     if not is_smooth(f):
         raise ValueError("fan is not smooth")
     if not is_complete(f):
@@ -84,16 +91,12 @@ def cox_presentation(f: Fan) -> CoxPresentation:
     pic_rank = f.n_rays - f.dim
     if Q.rows != pic_rank:
         raise ValueError("charge matrix rank does not match |rays| - dim")
-    irrelevant = tuple(
-        tuple(i for i in range(f.n_rays) if i not in set(cone)) for cone in f.max_cones
-    )
     return CoxPresentation(
         ray_matrix=B,
         charge_matrix=Q,
         pic_rank=pic_rank,
-        pic_torsion=(),
-        irrelevant_generators=irrelevant,
-        primitive_collections=primitive_collections(f),
+        irrelevant_generators=_cone_complements(f),
+        primitive_collections=collections,
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import IntMatrix, rank
+from .lattice import IntMatrix, rank, smith_normal_form, solve_integer, solve_rational
 from . import ratlp
 
 _MC_DIRECTIONS = 1000
@@ -175,8 +175,6 @@ def _require_valid(f: Fan):
 def is_smooth(f: Fan) -> bool:
     """True iff every maximal cone's generators extend to a Z-basis."""
     _require_valid(f)
-    from .lattice import smith_normal_form
-
     for cone in f.max_cones:
         gens = IntMatrix.from_rows([f.rays[i] for i in cone])
         if len(cone) == f.dim:
@@ -199,20 +197,9 @@ def _facet_map(f: Fan):
 
 def _cone_contains_direction(f: Fan, cone, x):
     """Exact membership of rational vector x in a full-dim simplicial cone."""
-    gens = [f.rays[i] for i in cone]
-    n = f.dim
-    # solve sum a_i gens_i = x over Q
-    aug = [[Fraction(gens[i][j]) for i in range(n)] + [Fraction(x[j])] for j in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return False
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                fac = aug[r][col] / aug[col][col]
-                aug[r] = [u - fac * w for u, w in zip(aug[r], aug[col])]
-    return all(aug[i][n] / aug[i][i] >= 0 for i in range(n))
+    rows = [[f.rays[i][j] for i in cone] for j in range(f.dim)]
+    rk, coeffs = solve_rational(rows, x)
+    return rk == f.dim and all(c >= 0 for c in coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -267,39 +254,15 @@ def walls(f: Fan):
         (right_extra,) = set(f.max_cones[cb]) - set(facet)
         # n_left + n_right + sum_i a_i n_{w_i} = 0; wall rays independent,
         # smoothness makes the a_i integers
-        n = f.dim
-        target = tuple(
-            -(f.rays[left_extra][j] + f.rays[right_extra][j]) for j in range(n)
-        )
-        wall_list = list(facet)
-        aug = [
-            [Fraction(f.rays[i][j]) for i in wall_list] + [Fraction(target[j])]
-            for j in range(n)
-        ]
-        m = len(wall_list)
-        row = 0
-        pivot_row = [None] * m
-        for col in range(m):
-            piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            for r in range(n):
-                if r != row and aug[r][col] != 0:
-                    fac = aug[r][col] / aug[row][col]
-                    aug[r] = [u - fac * w for u, w in zip(aug[r], aug[row])]
-            pivot_row[col] = row
-            row += 1
-        coeffs = [
-            aug[pivot_row[col]][m] / aug[pivot_row[col]][col] for col in range(m)
-        ]
+        A = IntMatrix.from_rows([[f.rays[i][j] for i in facet] for j in range(f.dim)])
+        coeffs = solve_integer(A, [-a - b for a, b in zip(f.rays[left_extra], f.rays[right_extra])])
+        if coeffs is None:
+            raise ValueError("non-integral wall relation on a smooth fan")
         relation = [0] * f.n_rays
         relation[left_extra] += 1
         relation[right_extra] += 1
-        for i, c in zip(wall_list, coeffs):
-            if c.denominator != 1:
-                raise ValueError("non-integral wall relation on a smooth fan")
-            relation[i] += int(c)
+        for i, c in zip(facet, coeffs):
+            relation[i] += c
         out.append(Wall(tuple(facet), ca, cb, tuple(relation)))
     return tuple(out)
 

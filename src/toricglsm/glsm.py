@@ -19,16 +19,16 @@ phase.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import ratlp
-from .cox import CoxPresentation
+from .cox import CoxPresentation, minimal_transversals
 from .fan import Fan, walls
-from .lattice import IntMatrix, solve_integer
+from .lattice import IntMatrix, solve_integer, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -47,7 +47,6 @@ class GLSMProblem:
     charges: IntMatrix
     fi: tuple  # rationals, length k
     amplitudes: tuple  # nonnegative rationals, length r
-    sigma_fixed_at_zero: bool = field(default=True, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fi", tuple(Fraction(x) for x in self.fi))
@@ -90,7 +89,7 @@ def semistable(charges: IntMatrix, support, fi) -> str:
     if any(i < 0 or i >= charges.cols for i in support):
         raise ValueError("support index out of range")
     gens = [charges.column(i) for i in support]
-    where = ratlp.in_cone(tuple(Fraction(x) for x in fi), gens)
+    where, _ = ratlp.in_cone(fi, gens)
     return {
         "interior": INTERIOR_STABLE,
         "boundary": BOUNDARY_MARGINAL,
@@ -108,17 +107,15 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    verdict = semistable(p.charges, p.support, p.fi)
-    if verdict != INTERIOR_STABLE:
-        gens = [p.charges.column(i) for i in p.support]
-        u = ratlp.separating_functional(tuple(p.fi), gens)
-        direction = tuple(float(-x) for x in u) if u is not None else None
+    where, u = ratlp.in_cone(p.fi, [p.charges.column(i) for i in p.support])
+    if where != "interior":
+        direction = _floats(-x for x in u) if u is not None else None
         return SolveReport(status="Unstable", recession_direction=direction)
 
     k = p.charges.rows
-    Q = np.array(p.charges.to_rows(), dtype=float)  # k x r
-    s = np.array([float(x) for x in p.amplitudes])
-    r_vec = np.array([float(x) for x in p.fi])
+    Q = np.array([_floats(row) for row in p.charges.to_rows()])  # k x r
+    s = np.array(_floats(p.amplitudes))
+    r_vec = np.array(_floats(p.fi))
     t = np.zeros(k)
 
     def grad_and_weights(tv):
@@ -148,7 +145,11 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
             if objective(t + alpha * step) <= f0 + _ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
-        t = t + alpha * step
+        t_next = t + alpha * step
+        if np.array_equal(t_next, t):
+            # the decrease is below f's float resolution: take the full step
+            t_next = t + step
+        t = t_next
         g, w = grad_and_weights(t)
     return SolveReport(
         status="IterationLimit",
@@ -157,25 +158,33 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     )
 
 
-def unstable_supports(charges: IntMatrix, fi, max_rays=_MAX_FIELDS):
+def unstable_supports(charges: IntMatrix, fi):
     """Minimal zero-sets whose complement-support is unstable for this FI
-    vector; for FI in the Kaehler cone these are the primitive collections."""
-    r = charges.cols
-    if r > max_rays:
-        raise ValueError(f"field count {r} exceeds limit {max_rays}")
-    import itertools
+    vector; for FI in the Kaehler cone these are the primitive collections.
 
-    fi = tuple(Fraction(x) for x in fi)
-    found = []
-    for size in range(0, r + 1):
-        for comb in itertools.combinations(range(r), size):
-            zs = set(comb)
-            if any(set(prev) <= zs for prev in found):
-                continue
-            support = [i for i in range(r) if i not in zs]
-            if semistable(charges, support, fi) == UNSTABLE:
-                found.append(comb)
-    return [tuple(z) for z in found]
+    By conic Caratheodory a support is semistable iff it contains a stable
+    basis B: linearly independent charges, at most rows(Q), with FI in
+    their cone.  So these are the minimal transversals of the stable bases.
+    """
+    r = charges.cols
+    if r > _MAX_FIELDS:
+        raise ValueError(f"field count {r} exceeds limit {_MAX_FIELDS}")
+    rows = charges.to_rows()
+    bases = []
+    for size in range(min(charges.rows, r) + 1):
+        for basis in itertools.combinations(range(r), size):
+            rank, x = solve_rational([[row[i] for i in basis] for row in rows], fi)
+            if rank == size and x is not None and all(c >= 0 for c in x):
+                bases.append(basis)
+    return minimal_transversals(r, bases)
+
+
+def _floats(values):
+    """Exact numbers as a tuple of floats; ValueError where one overflows."""
+    try:
+        return tuple(float(x) for x in values)
+    except OverflowError:
+        raise ValueError("number too large for the floating-point solver") from None
 
 
 def pair_divisor_curve(pres: CoxPresentation, divisor_class, d) -> int:

@@ -24,6 +24,21 @@ def rational_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _list(value, what, ints=False) -> list:
+    """A JSON list; with ints, of integers (floats and booleans are refused,
+    not cast)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    bad = [x for x in value if type(x) is not int] if ints else []
+    if bad:
+        raise ValueError(f"{what} entries must be integers, got {bad[0]!r}")
+    return value
+
+
+def _int_rows(value, what) -> list:
+    return [_list(row, what, ints=True) for row in _list(value, what)]
+
+
 def rational_from_str(s) -> Fraction:
     try:
         return Fraction(str(s))
@@ -43,8 +58,8 @@ def fan_from_dict(obj) -> Fan:
     if isinstance(obj, str):
         return catalog.by_name(obj)
     try:
-        rays = obj["rays"]
-        cones = obj["max_cones"]
+        rays = _int_rows(obj["rays"], "rays")
+        cones = _int_rows(obj["max_cones"], "max_cones")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"fan object missing field: {exc}") from None
     if not rays:
@@ -68,14 +83,14 @@ def collection_to_dict(c: WeakDeltaCollection) -> dict:
 
 def collection_from_dict(obj) -> WeakDeltaCollection:
     f = fan_from_dict(obj["fan"])
-    degrees = [int(x) for x in obj["degrees"]]
-    raw = obj["sections"]
+    degrees = _list(obj["degrees"], "degrees", ints=True)
+    raw = _list(obj["sections"], "sections")
     if len(raw) != len(degrees):
         raise ValueError("sections and degrees must have the same length")
     sections = [parse_form(s, expected_degree=d) for s, d in zip(raw, degrees)]
     triv = obj.get("trivializations")
     if triv is not None:
-        triv = [rational_from_str(t) for t in triv]
+        triv = [rational_from_str(t) for t in _list(triv, "trivializations")]
     return WeakDeltaCollection(
         fan=f, degree=tuple(degrees), sections=tuple(sections), trivializations=triv
     )
@@ -97,9 +112,9 @@ def stable_map_to_dict(data: GenusZeroStableMapData) -> dict:
 def stable_map_from_dict(obj) -> GenusZeroStableMapData:
     main = collection_from_dict(obj["main"])
     atts = []
-    for raw in obj.get("attachments", []):
-        point = tuple(rational_from_str(x) for x in raw["point"])
-        atts.append(Attachment(point=point, degree=tuple(int(x) for x in raw["degree"])))
+    for raw in _list(obj.get("attachments", []), "attachments"):
+        point = tuple(rational_from_str(x) for x in _list(raw["point"], "point"))
+        atts.append(Attachment(point=point, degree=tuple(_list(raw["degree"], "degree", ints=True))))
     return GenusZeroStableMapData(main=main, attachments=tuple(atts))
 
 
@@ -112,9 +127,9 @@ def glsm_to_dict(p: GLSMProblem) -> dict:
 
 
 def glsm_from_dict(obj) -> GLSMProblem:
-    charges = IntMatrix.from_rows([[int(x) for x in row] for row in obj["charges"]])
+    charges = IntMatrix.from_rows(_int_rows(obj["charges"], "charges"))
     return GLSMProblem(
         charges=charges,
-        fi=tuple(rational_from_str(x) for x in obj["fi"]),
-        amplitudes=tuple(rational_from_str(x) for x in obj["amplitudes"]),
+        fi=tuple(rational_from_str(x) for x in _list(obj["fi"], "fi")),
+        amplitudes=tuple(rational_from_str(x) for x in _list(obj["amplitudes"], "amplitudes")),
     )

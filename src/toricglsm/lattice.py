@@ -120,21 +120,38 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def rank(A: IntMatrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    a = [list(map(Fraction, A.row(i))) for i in range(A.rows)]
-    r = 0
-    for j in range(A.cols):
-        piv = next((i for i in range(r, A.rows) if a[i][j] != 0), None)
+def solve_rational(rows, b):
+    """(rank, x) for the rational system rows . x = b by Gauss-Jordan
+    elimination: x has its free variables at 0, or is None when the system
+    is inconsistent."""
+    if len(b) != len(rows):
+        raise ValueError("right-hand side has wrong length")
+    n = len(rows[0]) if rows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rows, b)]
+    pivots = []
+    for j in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][j] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(A.rows):
+        for i in range(len(a)):
             if i != r and a[i][j] != 0:
                 f = a[i][j] / a[r][j]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+        pivots.append(j)
+    r = len(pivots)
+    if any(row[n] != 0 for row in a[r:]):
+        return r, None
+    x = [Fraction(0)] * n
+    for i, j in enumerate(pivots):
+        x[j] = a[i][n] / a[i][j]
+    return r, tuple(x)
+
+
+def rank(A: IntMatrix) -> int:
+    """Rank over Q."""
+    return solve_rational(A.to_rows(), (0,) * A.rows)[0]
 
 
 def _pivot(a, t, nr, nc):

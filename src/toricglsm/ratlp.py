@@ -1,8 +1,9 @@
 """Exact rational linear feasibility via Fourier-Motzkin elimination.
 
 Constraints are pairs (a, b) meaning a . x <= b with Fraction entries.
-Variable counts stay small here (cone-membership duals, wall checks), so
-the doubly-exponential worst case of the method never bites at this scale.
+Variable counts stay small here (cone-membership duals, pairwise cone
+intersections in fan validation), so the doubly-exponential worst case of
+the method never bites at this scale.
 """
 
 from __future__ import annotations
@@ -59,39 +60,27 @@ def feasible(constraints, nvars) -> bool:
     return fm_witness(constraints, nvars) is not None
 
 
-def in_cone(point, generators) -> str:
-    """Position of `point` relative to cone(generators): one of
-    "interior" (relative interior), "boundary", "outside".
+def in_cone(point, generators):
+    """(position, u): the position of `point` relative to cone(generators),
+    one of "interior" (relative interior), "boundary", "outside", and on
+    "outside" its certificate u, with generator.u >= 0 for all generators
+    and point.u <= -1 (else u is None).
 
-    Decided in the dual: point is outside iff some functional u is
-    nonnegative on every generator but negative on the point; it is on the
-    boundary iff some such u has u.point = 0 while not vanishing on the
-    whole cone.
+    Decided in the dual: point is outside iff such a u exists; it is on the
+    boundary iff some u nonnegative on the cone has u.point = 0 while not
+    vanishing on the whole cone.
     """
     k = len(point)
     point = tuple(Fraction(c) for c in point)
     gens = [tuple(Fraction(c) for c in g) for g in generators]
     if any(len(g) != k for g in gens):
         raise ValueError("generator dimension mismatch")
-    # u with q_i.u >= 0 for all i and point.u <= -1  -> separating functional
     sep = [(tuple(-c for c in g), Fraction(0)) for g in gens]
-    if feasible(sep + [(point, Fraction(-1))], k):
-        return "outside"
+    u = fm_witness(sep + [(point, Fraction(-1))], k)
+    if u is not None:
+        return "outside", u
     # u nonnegative on the cone, point.u <= 0, and sum_i q_i.u >= 1
     total = tuple(-sum(g[j] for g in gens) for j in range(k)) if gens else (Fraction(0),) * k
     if feasible(sep + [(point, Fraction(0)), (total, Fraction(-1))], k):
-        return "boundary"
-    return "interior"
-
-
-def separating_functional(point, generators):
-    """u with generator.u >= 0 for all generators and point.u < 0, or None.
-
-    Exists exactly when point is outside cone(generators); -u is then a
-    recession direction certifying unboundedness of the Kempf-Ness function.
-    """
-    k = len(point)
-    point = tuple(Fraction(c) for c in point)
-    gens = [tuple(Fraction(c) for c in g) for g in generators]
-    sep = [(tuple(-c for c in g), Fraction(0)) for g in gens]
-    return fm_witness(sep + [(point, Fraction(-1))], k)
+        return "boundary", None
+    return "interior", None

@@ -258,3 +258,44 @@ def test_output_byte_determinism(tmp_path):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert outs[0].endswith(b"\n")
+
+
+_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [0, 2], [1, 2]]}
+_GLSM = {"charges": [[1, 1, 1]], "fi": ["1"], "amplitudes": ["1", "1", "1"]}
+_COLLECTION = {"fan": "P2", "degrees": [1, 1, 1], "sections": ["z0", "z1", "z0 + z1"]}
+
+
+@pytest.mark.parametrize(
+    "cmd, payload, message",
+    [
+        ("fan-check", dict(_FAN, rays=[[1.5, 0], [0, 1], [-1, -1]]), "integers, got 1.5"),
+        ("cox", dict(_FAN, max_cones=[[0, True], [0, 2], [1, 2]]), "integers, got True"),
+        ("glsm-phase", dict(_GLSM, charges=[[1, 1, 1.5]]), "integers, got 1.5"),
+        ("delta-check", dict(_COLLECTION, degrees=[1, True, 1]), "integers, got True"),
+        ("fan-check", dict(_FAN, rays=5), "rays must be a list"),
+        ("glsm-solve", dict(_GLSM, fi="1"), "fi must be a list"),
+    ],
+    ids=["float-ray", "bool-cone", "float-charge", "bool-degree", "scalar-rays", "string-fi"],
+)
+def test_strict_json_input(capsys, tmp_path, cmd, payload, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_glsm_solve_overflowing_fi(capsys, tmp_path):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(dict(_GLSM, fi=["1e400"])))
+    code, out, err = run(capsys, "glsm-solve", str(path))
+    assert code == 1 and out == ""
+    assert "too large" in err
+
+
+def test_cox_ray_cap_before_validation(capsys):
+    # P40 has 41 rays: the 16-ray cap must refuse it before the O(cones^2)
+    # validation starts
+    code, out, err = run(capsys, "cox", "P40")
+    assert code == 1 and out == ""
+    assert "limited to 16 rays" in err

@@ -129,6 +129,17 @@ def test_solver_unstable_certificate(p2):
     assert sum(float(-sign) * u[k] for k in range(Q.rows)) > 0.5
 
 
+def test_solver_full_step_when_backtracking_stalls():
+    # Armijo backtracking cannot resolve the decrease here; the solver used
+    # to stall at a gradient of ~1.7e-8 and return IterationLimit
+    Q = IntMatrix.from_rows([[1, 1, 1, 1, 1, 1]])
+    amps = (Fraction(5, 4), Fraction(3, 2), 1, 0, Fraction(1, 4), Fraction(1, 4))
+    rep = kempf_ness_solve(GLSMProblem(charges=Q, fi=(7,), amplitudes=amps))
+    assert rep.status == "Converged"
+    w = sum(float(a) for a in amps) * math.exp(2 * rep.t[0])
+    assert abs(w - 7) <= 1e-8
+
+
 def test_gradient_finite_difference(p1xp1, f1):
     rng = random.Random(91)
     checked = 0
