@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fan import Fan, is_complete, is_smooth, validate_fan
+from .fan import Fan, require_smooth_complete, require_valid
 from .lattice import IntMatrix, integer_kernel, smith_normal_form
 
 _MAX_RAYS_FOR_COLLECTIONS = 16
@@ -63,9 +63,7 @@ def primitive_collections(f: Fan):
         raise ValueError(
             f"primitive-collection search limited to {_MAX_RAYS_FOR_COLLECTIONS} rays"
         )
-    rep = validate_fan(f)
-    if not rep.ok:
-        raise ValueError("invalid fan: " + "; ".join(rep.issues))
+    require_valid(f)
     return tuple(minimal_transversals(f.n_rays, _cone_complements(f)))
 
 
@@ -73,10 +71,7 @@ def primitive_collections(f: Fan):
 def cox_presentation(f: Fan) -> CoxPresentation:
     """X = (C^rays - V(I)) / G, presented by exact integer data."""
     collections = primitive_collections(f)  # checks the ray cap, validates
-    if not is_smooth(f):
-        raise ValueError("fan is not smooth")
-    if not is_complete(f):
-        raise ValueError("fan is not complete")
+    require_smooth_complete(f)
 
     B = IntMatrix.from_rows(list(f.rays))
     torsion = tuple(

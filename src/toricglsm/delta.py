@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import forms
-from .fan import Fan, validate_fan
+from .fan import Fan, require_valid
 from .forms import BinaryForm
 from .lattice import IntMatrix, smith_normal_form
 
@@ -45,9 +45,7 @@ class WeakDeltaCollection:
     trivializations: tuple = None  # nonzero rationals, one per lattice basis vector
 
     def __post_init__(self):
-        rep = validate_fan(self.fan)
-        if not rep.ok:
-            raise ValueError("invalid fan: " + "; ".join(rep.issues))
+        require_valid(self.fan)
         degree = tuple(int(x) for x in self.degree)
         object.__setattr__(self, "degree", degree)
         if len(degree) != self.fan.n_rays:

@@ -2,10 +2,10 @@
 
 A fan is stored as primitive ray generators plus maximal cones given by
 ray-index sets.  Only simplicial fans are supported; smooth fans are
-automatically simplicial.  Completeness is decided by the pseudomanifold
-criterion (every facet shared by exactly two maximal cones, connected
-adjacency graph) hardened by a seeded Monte Carlo coverage check -- a
-heuristic-hardened test, not a certified decision procedure.
+automatically simplicial.  Validation is exact and runs once per distinct
+fan: one n-variable separating LP per pair of maximal cones.  Completeness
+is decided exactly, by the pseudomanifold criterion on a valid fan (every
+maximal cone full-dimensional, every facet shared by exactly two).
 
 "Convexity" of the associated variety has no checkable criterion here;
 what is computed is the proxy "every toric prime divisor is nef", i.e.
@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import IntMatrix, rank, smith_normal_form, solve_integer, solve_rational
+from .lattice import IntMatrix, rank, smith_normal_form, solve_integer
 from . import ratlp
-
-_MC_DIRECTIONS = 1000
-_MC_SEED = 20240901
 
 
 @dataclass(frozen=True)
@@ -73,22 +69,23 @@ class Wall:
     relation: tuple
 
 
-def _gcd_all(v):
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-    return g
-
-
 def validate_fan(f: Fan) -> ValidationReport:
-    """Check the Fan invariants; returns a report rather than raising."""
+    """Check the Fan invariants; returns a report rather than raising.
+
+    The report is computed once per distinct fan and then cached.
+    """
+    return _validate(f)
+
+
+@lru_cache(maxsize=None)
+def _validate(f: Fan) -> ValidationReport:
     issues = []
     for i, r in enumerate(f.rays):
         if len(r) != f.dim:
             issues.append(f"ray {i} has length {len(r)}, expected {f.dim}")
         elif all(c == 0 for c in r):
             issues.append(f"ray {i} is zero")
-        elif _gcd_all(r) != 1:
+        elif math.gcd(*r) != 1:
             issues.append(f"ray {i} = {r} is not primitive")
     seen = {}
     for i, r in enumerate(f.rays):
@@ -129,43 +126,27 @@ def validate_fan(f: Fan) -> ValidationReport:
 def _bad_intersection(f: Fan, a: int, b: int):
     """None if cone(a) meets cone(b) in their common face, else a message.
 
-    For simplicial cones every generator subset spans a face, so the only
-    thing to check is cone(S) ∩ cone(T) ⊆ cone(S∩T): no point of the
-    intersection may need a generator outside S∩T (representations in a
-    simplicial cone are unique).
+    Simplicial cones S and T meet in cone(S∩T) exactly when some m has
+    m.n = 0 on the common rays, m.n >= 1 on S's other rays and m.n <= -1
+    on T's other rays (Cox-Little-Schenck, Toric Varieties, Lemma 1.2.13).
     """
     S = f.max_cones[a]
     T = f.max_cones[b]
-    common = set(S) & set(T)
-    for cone, other in ((S, T), (T, S)):
-        extra = [i for i in cone if i not in common]
-        for forced in extra:
-            # x = sum_{s in cone} p_s n_s = sum_{t in other} q_t n_t,
-            # p, q >= 0, p_forced >= 1: feasible iff the face condition fails
-            nvars = len(cone) + len(other)
-            cons = []
-            for j in range(f.dim):
-                row = [Fraction(f.rays[i][j]) for i in cone] + [
-                    Fraction(-f.rays[i][j]) for i in other
-                ]
-                cons.append((tuple(row), Fraction(0)))
-                cons.append((tuple(-c for c in row), Fraction(0)))
-            for v in range(nvars):
-                e = [Fraction(0)] * nvars
-                e[v] = Fraction(-1)
-                cons.append((tuple(e), Fraction(0)))
-            e = [Fraction(0)] * nvars
-            e[cone.index(forced)] = Fraction(-1)
-            cons.append((tuple(e), Fraction(-1)))
-            if ratlp.feasible(cons, nvars):
-                return (
-                    f"cones {a} and {b} intersect outside their common face "
-                    f"(ray {forced} participates)"
-                )
-    return None
+    cons = []
+    for i in sorted(set(S) | set(T)):
+        n = tuple(Fraction(c) for c in f.rays[i])
+        neg = tuple(-c for c in n)
+        if i in S and i in T:
+            cons += [(n, Fraction(0)), (neg, Fraction(0))]
+        else:
+            cons.append((neg, Fraction(-1)) if i in S else (n, Fraction(-1)))
+    if ratlp.feasible(cons, f.dim):
+        return None
+    return f"cones {a} and {b} intersect outside their common face"
 
 
-def _require_valid(f: Fan):
+def require_valid(f: Fan):
+    """Raise ValueError listing the issues unless the fan is valid."""
     rep = validate_fan(f)
     if not rep.ok:
         raise ValueError("invalid fan: " + "; ".join(rep.issues))
@@ -174,7 +155,7 @@ def _require_valid(f: Fan):
 @lru_cache(maxsize=None)
 def is_smooth(f: Fan) -> bool:
     """True iff every maximal cone's generators extend to a Z-basis."""
-    _require_valid(f)
+    require_valid(f)
     for cone in f.max_cones:
         gens = IntMatrix.from_rows([f.rays[i] for i in cone])
         if len(cone) == f.dim:
@@ -195,47 +176,25 @@ def _facet_map(f: Fan):
     return facets
 
 
-def _cone_contains_direction(f: Fan, cone, x):
-    """Exact membership of rational vector x in a full-dim simplicial cone."""
-    rows = [[f.rays[i][j] for i in cone] for j in range(f.dim)]
-    rk, coeffs = solve_rational(rows, x)
-    return rk == f.dim and all(c >= 0 for c in coeffs)
-
-
 @lru_cache(maxsize=None)
 def is_complete(f: Fan) -> bool:
-    """Pseudomanifold criterion plus seeded Monte Carlo coverage."""
-    _require_valid(f)
+    """Exact completeness: the fan is valid, every maximal cone is
+    full-dimensional and every facet lies in exactly two maximal cones.
+
+    Proof sketch: a generic segment from an interior point of a maximal
+    cone to a point outside the support would leave the support through the
+    relative interior of a facet.  That facet lies in exactly two cones, and
+    validity puts them on opposite sides of it, so the segment cannot leave
+    there.
+    """
+    require_valid(f)
     if any(len(c) != f.dim for c in f.max_cones):
         return False
-    facets = _facet_map(f)
-    if any(len(cs) != 2 for cs in facets.values()):
-        return False
-    # adjacency connectivity
-    adj = {i: set() for i in range(len(f.max_cones))}
-    for ca, cb in facets.values():
-        adj[ca].add(cb)
-        adj[cb].add(ca)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != len(f.max_cones):
-        return False
-    rng = random.Random(_MC_SEED)
-    for _ in range(_MC_DIRECTIONS):
-        x = tuple(rng.randint(-50, 50) for _ in range(f.dim))
-        if all(c == 0 for c in x):
-            continue
-        if not any(_cone_contains_direction(f, cone, x) for cone in f.max_cones):
-            return False
-    return True
+    return all(len(cs) == 2 for cs in _facet_map(f).values())
 
 
-def _require_smooth_complete(f: Fan):
+def require_smooth_complete(f: Fan):
+    """Raise ValueError unless the fan is valid, smooth and complete."""
     if not is_smooth(f):
         raise ValueError("fan is not smooth")
     if not is_complete(f):
@@ -245,7 +204,7 @@ def _require_smooth_complete(f: Fan):
 @lru_cache(maxsize=None)
 def walls(f: Fan):
     """All walls of a smooth complete fan, with their curve relations."""
-    _require_smooth_complete(f)
+    require_smooth_complete(f)
     out = []
     facets = _facet_map(f)
     for facet in sorted(facets):

@@ -24,19 +24,27 @@ def rational_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _list(value, what, ints=False) -> list:
-    """A JSON list; with ints, of integers (floats and booleans are refused,
-    not cast)."""
+def _dict(value, what) -> dict:
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what, entries=None) -> list:
+    """A JSON list; with entries (int or str), of exactly that type (floats
+    and booleans are refused as integers, not cast)."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, got {type(value).__name__}")
-    bad = [x for x in value if type(x) is not int] if ints else []
+    bad = [x for x in value if type(x) is not entries] if entries else []
     if bad:
-        raise ValueError(f"{what} entries must be integers, got {bad[0]!r}")
+        kind = "integers" if entries is int else "strings"
+        raise ValueError(f"{what} entries must be {kind}, got {bad[0]!r}")
     return value
 
 
 def _int_rows(value, what) -> list:
-    return [_list(row, what, ints=True) for row in _list(value, what)]
+    return [_list(row, what, entries=int) for row in _list(value, what)]
 
 
 def rational_from_str(s) -> Fraction:
@@ -57,10 +65,11 @@ def fan_to_dict(f: Fan) -> dict:
 def fan_from_dict(obj) -> Fan:
     if isinstance(obj, str):
         return catalog.by_name(obj)
+    obj = _dict(obj, "fan")
     try:
         rays = _int_rows(obj["rays"], "rays")
         cones = _int_rows(obj["max_cones"], "max_cones")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"fan object missing field: {exc}") from None
     if not rays:
         raise ValueError("fan needs at least one ray")
@@ -82,9 +91,10 @@ def collection_to_dict(c: WeakDeltaCollection) -> dict:
 
 
 def collection_from_dict(obj) -> WeakDeltaCollection:
+    obj = _dict(obj, "collection")
     f = fan_from_dict(obj["fan"])
-    degrees = _list(obj["degrees"], "degrees", ints=True)
-    raw = _list(obj["sections"], "sections")
+    degrees = _list(obj["degrees"], "degrees", entries=int)
+    raw = _list(obj["sections"], "sections", entries=str)
     if len(raw) != len(degrees):
         raise ValueError("sections and degrees must have the same length")
     sections = [parse_form(s, expected_degree=d) for s, d in zip(raw, degrees)]
@@ -110,11 +120,13 @@ def stable_map_to_dict(data: GenusZeroStableMapData) -> dict:
 
 
 def stable_map_from_dict(obj) -> GenusZeroStableMapData:
+    obj = _dict(obj, "stable map")
     main = collection_from_dict(obj["main"])
     atts = []
     for raw in _list(obj.get("attachments", []), "attachments"):
+        raw = _dict(raw, "attachment")
         point = tuple(rational_from_str(x) for x in _list(raw["point"], "point"))
-        atts.append(Attachment(point=point, degree=tuple(_list(raw["degree"], "degree", ints=True))))
+        atts.append(Attachment(point=point, degree=tuple(_list(raw["degree"], "degree", entries=int))))
     return GenusZeroStableMapData(main=main, attachments=tuple(atts))
 
 
@@ -127,6 +139,7 @@ def glsm_to_dict(p: GLSMProblem) -> dict:
 
 
 def glsm_from_dict(obj) -> GLSMProblem:
+    obj = _dict(obj, "GLSM problem")
     charges = IntMatrix.from_rows(_int_rows(obj["charges"], "charges"))
     return GLSMProblem(
         charges=charges,

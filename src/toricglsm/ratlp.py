@@ -1,9 +1,10 @@
 """Exact rational linear feasibility via Fourier-Motzkin elimination.
 
 Constraints are pairs (a, b) meaning a . x <= b with Fraction entries.
-Variable counts stay small here (cone-membership duals, pairwise cone
-intersections in fan validation), so the doubly-exponential worst case of
-the method never bites at this scale.
+Variable counts stay small here (cone-membership duals in the charge
+space, one n-variable separating functional per cone pair in fan
+validation), so the doubly-exponential worst case of the method never
+bites at this scale.
 """
 
 from __future__ import annotations

@@ -274,8 +274,11 @@ _COLLECTION = {"fan": "P2", "degrees": [1, 1, 1], "sections": ["z0", "z1", "z0 +
         ("delta-check", dict(_COLLECTION, degrees=[1, True, 1]), "integers, got True"),
         ("fan-check", dict(_FAN, rays=5), "rays must be a list"),
         ("glsm-solve", dict(_GLSM, fi="1"), "fi must be a list"),
+        ("delta-check", [1], "collection must be an object, got list"),
+        ("delta-check", dict(_COLLECTION, sections=[1, 2, 3]), "strings, got 1"),
     ],
-    ids=["float-ray", "bool-cone", "float-charge", "bool-degree", "scalar-rays", "string-fi"],
+    ids=["float-ray", "bool-cone", "float-charge", "bool-degree", "scalar-rays", "string-fi",
+         "list-document", "int-sections"],
 )
 def test_strict_json_input(capsys, tmp_path, cmd, payload, message):
     path = tmp_path / "in.json"

@@ -1,0 +1,192 @@
+"""Fan validation and completeness, checked against the per-ray
+2n-variable intersection LPs and the Monte Carlo completeness test they
+replaced, on built-in fans, products and seeded broken variants."""
+
+import functools
+import itertools
+import math
+import random
+from fractions import Fraction
+
+from toricglsm import catalog, fan
+from toricglsm.delta import WeakDeltaCollection
+from toricglsm.fan import Fan, is_complete, validate_fan
+from toricglsm.forms import BinaryForm
+from toricglsm.lattice import IntMatrix, rank, solve_rational
+from toricglsm.ratlp import feasible
+
+
+def reference_issues(f):
+    """Fan issues, with one 2n-variable LP per extra ray of each cone pair."""
+    issues = []
+    for i, r in enumerate(f.rays):
+        if len(r) != f.dim:
+            issues.append(f"ray {i} has length {len(r)}, expected {f.dim}")
+        elif all(c == 0 for c in r):
+            issues.append(f"ray {i} is zero")
+        elif math.gcd(*r) != 1:
+            issues.append(f"ray {i} = {r} is not primitive")
+    seen = {}
+    for i, r in enumerate(f.rays):
+        if r in seen:
+            issues.append(f"duplicate ray: index {seen[r]} and {i}")
+        else:
+            seen[r] = i
+    if issues:
+        return issues
+    covered = set()
+    for ci, cone in enumerate(f.max_cones):
+        if len(set(cone)) != len(cone):
+            issues.append(f"cone {ci} repeats a ray index")
+            continue
+        if any(i < 0 or i >= f.n_rays for i in cone):
+            issues.append(f"cone {ci} has a ray index out of range")
+            continue
+        covered.update(cone)
+        if rank(IntMatrix.from_rows([f.rays[i] for i in cone])) != len(cone):
+            issues.append(f"cone {ci} is not simplicial (generators dependent)")
+    issues += [f"ray {i} appears in no maximal cone" for i in range(f.n_rays) if i not in covered]
+    if rank(IntMatrix.from_rows(list(f.rays))) != f.dim:
+        issues.append("rays do not span the ambient space")
+    if issues:
+        return issues
+    cones = [tuple(f.rays[i] for i in c) for c in f.max_cones]
+    for a, b in itertools.combinations(range(len(cones)), 2):
+        if _reference_overlap(cones[a], cones[b]):
+            issues.append(f"cones {a} and {b} intersect outside their common face")
+    return issues
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_overlap(S, T):
+    """True iff some x = sum p_s n_s = sum q_t n_t with p, q >= 0 needs a
+    generator outside S∩T (p_forced >= 1 for some extra ray).  S and T are
+    tuples of ray vectors, so broken variants reuse their base fan's LPs."""
+    common = set(S) & set(T)
+    for cone, other in ((S, T), (T, S)):
+        nvars = len(cone) + len(other)
+        for forced in (i for i in range(len(cone)) if cone[i] not in common):
+            cons = []
+            for j in range(len(cone[0])):
+                row = [Fraction(n[j]) for n in cone] + [Fraction(-n[j]) for n in other]
+                cons += [(tuple(row), 0), (tuple(-c for c in row), 0)]
+            for v in range(nvars):
+                cons.append((tuple(Fraction(-(w == v)) for w in range(nvars)), 0))
+            cons.append((tuple(Fraction(-(w == forced)) for w in range(nvars)), -1))
+            if feasible(cons, nvars):
+                return True
+    return False
+
+
+def reference_complete(f, directions=100, seed=20240901):
+    """Pseudomanifold criterion, connected adjacency and Monte Carlo coverage."""
+    if any(len(c) != f.dim for c in f.max_cones):
+        return False
+    facets = {}
+    for ci, cone in enumerate(f.max_cones):
+        for facet in itertools.combinations(cone, len(cone) - 1):
+            facets.setdefault(facet, []).append(ci)
+    if any(len(cs) != 2 for cs in facets.values()):
+        return False
+    adj = {i: set() for i in range(len(f.max_cones))}
+    for ca, cb in facets.values():
+        adj[ca].add(cb)
+        adj[cb].add(ca)
+    seen, stack = {0}, [0]
+    while stack:
+        for nb in adj[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    if len(seen) != len(f.max_cones):
+        return False
+    rng = random.Random(seed)
+    for _ in range(directions):
+        x = tuple(rng.randint(-50, 50) for _ in range(f.dim))
+        if any(x) and not any(_contains(f, cone, x) for cone in f.max_cones):
+            return False
+    return True
+
+
+def _contains(f, cone, x):
+    rk, coeffs = solve_rational([[f.rays[i][j] for i in cone] for j in range(f.dim)], x)
+    return rk == f.dim and all(c >= 0 for c in coeffs)
+
+
+def product(f, g):
+    rays = [r + (0,) * g.dim for r in f.rays] + [(0,) * f.dim + r for r in g.rays]
+    cones = [a + tuple(f.n_rays + i for i in b) for a in f.max_cones for b in g.max_cones]
+    return Fan(dim=f.dim + g.dim, rays=tuple(rays), max_cones=tuple(cones))
+
+
+def _base_fans():
+    fans = [catalog.by_name(n) for n in catalog.GOLDEN_NAMES] + [catalog.projective_space(5)]
+    p1, p2 = catalog.by_name("P1"), catalog.by_name("P2")
+    return fans + [product(p2, p2), product(product(p1, p1), p2)]
+
+
+def _broken_variants(f, rng):
+    """An overlapping extra ray and cone, a dropped cone, and a random extra
+    cone through a new random ray."""
+    out = []
+    cone = rng.choice(f.max_cones)
+    if f.dim > 1:
+        a, b = rng.sample(cone, 2)
+        s = tuple(x + y for x, y in zip(f.rays[a], f.rays[b]))
+        ray = tuple(c // math.gcd(*s) for c in s)
+        if ray not in f.rays:
+            swapped = tuple(sorted([i for i in cone if i != a] + [f.n_rays]))
+            out.append(Fan(f.dim, f.rays + (ray,), f.max_cones + (swapped,)))
+    dropped = rng.randrange(len(f.max_cones))
+    out.append(Fan(f.dim, f.rays, f.max_cones[:dropped] + f.max_cones[dropped + 1:]))
+    # entries in {-1, 0, 1} keep the reference LPs small
+    new_rays = [r for r in itertools.product((-1, 0, 1), repeat=f.dim) if any(r) and r not in f.rays]
+    if new_rays:
+        ray = rng.choice(new_rays)
+        extra = tuple(sorted(rng.sample(range(f.n_rays), f.dim - 1) + [f.n_rays]))
+        out.append(Fan(f.dim, f.rays + (ray,), f.max_cones + (extra,)))
+    return out
+
+
+def _check_against_reference(f):
+    issues = list(validate_fan(f).issues)
+    assert issues == reference_issues(f), f
+    if not issues:
+        assert is_complete(f) == reference_complete(f), f
+
+
+def test_validate_and_complete_match_reference():
+    rng = random.Random(9)
+    for f in _base_fans():
+        _check_against_reference(f)
+        assert is_complete(f)
+        for broken in _broken_variants(f, rng):
+            _check_against_reference(broken)
+
+
+def test_broken_variants_are_caught():
+    # the seeded variants must reach both verdicts of the cone-pair LP and
+    # include valid fans that are not complete
+    rng = random.Random(9)
+    overlapping = incomplete = 0
+    for f in _base_fans():
+        for broken in _broken_variants(f, rng):
+            rep = validate_fan(broken)
+            overlapping += any("intersect outside" in i for i in rep.issues)
+            incomplete += rep.ok and not is_complete(broken)
+    assert overlapping >= 10 and incomplete >= 10
+
+
+def test_exact_completeness_small_cases(p2):
+    p2_minus_cone = Fan(dim=2, rays=p2.rays, max_cones=p2.max_cones[1:])
+    assert validate_fan(p2_minus_cone).ok
+    assert not is_complete(p2_minus_cone)
+    assert is_complete(Fan(dim=1, rays=((1,), (-1,)), max_cones=((0,), (1,))))
+    assert not is_complete(Fan(dim=1, rays=((1,),), max_cones=((0,),)))
+
+
+def test_fan_validated_once_per_distinct_fan(p2):
+    fan._validate.cache_clear()
+    sections = (BinaryForm.one(),) * p2.n_rays
+    for _ in range(20):
+        WeakDeltaCollection(fan=catalog.by_name("P2"), degree=(0, 0, 0), sections=sections)
+    assert fan._validate.cache_info().misses == 1

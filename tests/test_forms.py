@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from toricglsm import forms
 from toricglsm.forms import (
@@ -170,3 +171,26 @@ def test_rational_projective_roots():
 def test_mobius_singular_rejected():
     with pytest.raises(ValueError):
         Mobius(1, 2, 2, 4)
+
+
+def _to_sympy(f, z0, z1):
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * z0 ** (f.degree - k) * z1**k
+        for k, c in enumerate(f.coefficients)
+    )
+
+
+def test_gcd_matches_sympy():
+    z0, z1 = sympy.symbols("z0 z1")
+    rng = random.Random(23)
+    for _ in range(60):
+        pool = [rand_form(rng, 1, bound=3) for _ in range(4)]
+        fs = []
+        for _ in range(rng.randint(1, 3)):
+            f = BinaryForm.one()
+            for lin in rng.choices(pool, k=rng.randint(0, 4)):
+                f = mul(f, lin)
+            fs.append(f)
+        expected = sympy.gcd_list([_to_sympy(f, z0, z1) for f in fs])
+        got = _to_sympy(gcd(fs), z0, z1)
+        assert sympy.Poly(got, z0, z1).monic() == sympy.Poly(expected, z0, z1).monic(), fs

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from toricglsm.lattice import (
     IntMatrix,
@@ -137,3 +139,15 @@ def test_solve_integer_dimension_mismatch():
 def test_intmatrix_shape_guard():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
+
+
+def test_snf_diagonal_matches_sympy():
+    rng = random.Random(17)
+    for _ in range(80):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:  # a dependent row lowers the rank
+            rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+        snf = check_decomposition(IntMatrix.from_rows(rows))
+        D = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert snf.diagonal() == tuple(abs(D[i, i]) for i in range(min(r, c))), rows
