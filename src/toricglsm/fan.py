@@ -117,10 +117,23 @@ def _validate(f: Fan) -> ValidationReport:
         return ValidationReport(tuple(issues))
 
     for a, b in itertools.combinations(range(len(f.max_cones)), 2):
-        msg = _bad_intersection(f, a, b)
+        msg = _nested(f, a, b) or _bad_intersection(f, a, b)
         if msg:
             issues.append(msg)
     return ValidationReport(tuple(issues))
+
+
+def _nested(f: Fan, a: int, b: int):
+    """A message if one of two maximal cones repeats or lies in the other."""
+    S = set(f.max_cones[a])
+    T = set(f.max_cones[b])
+    if S == T:
+        return f"cone {b} repeats cone {a}"
+    if S < T:
+        return f"cone {a} lies in cone {b}"
+    if T < S:
+        return f"cone {b} lies in cone {a}"
+    return None
 
 
 def _bad_intersection(f: Fan, a: int, b: int):

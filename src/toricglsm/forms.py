@@ -185,10 +185,6 @@ def parse_form(text: str, expected_degree=None) -> BinaryForm:
     return BinaryForm(degree, tuple(coeffs))
 
 
-def _fmt_coeff(c: Fraction):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_form(f: BinaryForm) -> str:
     """Serialize in the parse grammar: decreasing z0 power, lowest terms."""
     if f.is_zero:
@@ -205,7 +201,7 @@ def format_form(f: BinaryForm) -> str:
             factors.append("z1" if p1 == 1 else f"z1^{p1}")
         mag = abs(c)
         if mag != 1 or not factors:
-            factors.insert(0, _fmt_coeff(mag))
+            factors.insert(0, str(mag))
         term = "*".join(factors)
         if not parts:
             parts.append(term if c > 0 else "-" + term)

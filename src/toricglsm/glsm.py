@@ -11,24 +11,29 @@ Kempf-Ness function
 
 with damped Newton steps.  Stability verdicts are exact (Fourier-Motzkin
 over the rationals) and serve as the solver's oracle; floating point is
-confined to the Newton iteration.  Gauge couplings are set to 1 (they
-rescale the equation without moving its zero set), the superpotential is
-zero, and the extra scalar multiplet is frozen at zero as in the geometric
-phase.
+confined to the Newton iteration, which runs on Python floats.  Its step is
+E^T z, where the rows of E are a basis of the support charges' span and z
+solves (E H E^T) z = -E grad f exactly (lattice.solve_rational on the float
+entries), so t stays in that span.  Armijo backtracking is skipped, and the
+full step taken, once the decrease -grad f . step falls below f's float
+resolution (_RESOLUTION |f|): below it a line search accepts rounding noise
+(Boyd-Vandenberghe, Convex Optimization, 9.5).  Gauge couplings are set
+to 1 (they rescale the equation without moving its zero set), the
+superpotential is zero, and the extra scalar multiplet is frozen at zero as
+in the geometric phase.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import ratlp
 from .cox import CoxPresentation, minimal_transversals
 from .fan import Fan, walls
-from .lattice import IntMatrix, solve_integer, solve_rational
+from .lattice import IntMatrix, rank, solve_integer, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -37,6 +42,7 @@ UNSTABLE = "Unstable"
 _MAX_FIELDS = 16
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+_RESOLUTION = 1e-12  # a decrease below this share of |f| is rounding noise
 
 
 @dataclass(frozen=True)
@@ -107,55 +113,76 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    where, u = ratlp.in_cone(p.fi, [p.charges.column(i) for i in p.support])
+    cols = [p.charges.column(i) for i in p.support]
+    where, u = ratlp.in_cone(p.fi, cols)
     if where != "interior":
         direction = _floats(-x for x in u) if u is not None else None
         return SolveReport(status="Unstable", recession_direction=direction)
 
     k = p.charges.rows
-    Q = np.array([_floats(row) for row in p.charges.to_rows()])  # k x r
-    s = np.array(_floats(p.amplitudes))
-    r_vec = np.array(_floats(p.fi))
-    t = np.zeros(k)
+    basis = []  # rows of E: a basis of the support charges' span
+    for q in cols:
+        if len(basis) < k and rank(IntMatrix.from_rows(basis + [q])) > len(basis):
+            basis.append(q)
+    proj = [[_dot(e, q) for e in basis] for q in cols]  # E q_i
+    qs = [_floats(q) for q in cols]
+    s = _floats(p.amplitudes[i] for i in p.support)
+    r = _floats(p.fi)
 
-    def grad_and_weights(tv):
-        w = s * np.exp(2.0 * (Q.T @ tv))
-        return 2.0 * (Q @ w - r_vec), w
+    def at(t):
+        """Weights s_i exp(2 <q_i, t>) and f(t), which is inf on overflow."""
+        try:
+            w = [a * math.exp(2.0 * _dot(q, t)) for a, q in zip(s, qs)]
+        except OverflowError:
+            w = [math.inf] * len(s)
+        return w, sum(w) - 2.0 * _dot(r, t)
 
-    def objective(tv):
-        return float(np.sum(s * np.exp(2.0 * (Q.T @ tv))) - 2.0 * r_vec @ tv)
+    def gradient(w):
+        return [2.0 * (sum(q[a] * x for q, x in zip(qs, w)) - r[a]) for a in range(k)]
 
-    g, w = grad_and_weights(t)
-    for it in range(1, max_iter + 1):
-        if np.max(np.abs(g)) < tol:
-            return SolveReport(
-                status="Converged",
-                t=tuple(t),
-                gradient_norm=float(np.max(np.abs(g))),
-                iterations=it - 1,
-            )
-        hess = 4.0 * (Q * w) @ Q.T
-        step, *_ = np.linalg.lstsq(hess, -g, rcond=None)
-        if not np.all(np.isfinite(step)) or g @ step >= 0:
-            step = -g  # fall back to steepest descent
-        f0 = objective(t)
-        slope = float(g @ step)
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if objective(t + alpha * step) <= f0 + _ARMIJO * alpha * slope:
+    t = [0.0] * k
+    w, f = at(t)
+    g = gradient(w)
+    for it in range(max_iter):
+        gnorm = max(map(abs, g), default=0.0)
+        if gnorm < tol:
+            return SolveReport(status="Converged", t=tuple(t), gradient_norm=gnorm, iterations=it)
+        eg = [_dot(e, g) for e in basis]
+        z = _newton_coords(proj, w, eg)
+        if z is None or not _dot(eg, z) < 0:
+            z = [-x for x in eg]  # fall back to steepest descent
+        step = [sum(e[a] * x for e, x in zip(basis, z)) for a in range(k)]  # E^T z
+        slope = _dot(eg, z)  # = g . step
+        full = -slope <= _RESOLUTION * abs(f)  # no decrease f can resolve
+        for h in range(_MAX_HALVINGS + 1):
+            alpha = 0.5**h
+            t_next = [x + alpha * d for x, d in zip(t, step)]
+            w_next, f_next = at(t_next)
+            if full or h == _MAX_HALVINGS or f_next <= f + _ARMIJO * alpha * slope:
                 break
-            alpha *= 0.5
-        t_next = t + alpha * step
-        if np.array_equal(t_next, t):
-            # the decrease is below f's float resolution: take the full step
-            t_next = t + step
-        t = t_next
-        g, w = grad_and_weights(t)
-    return SolveReport(
-        status="IterationLimit",
-        gradient_norm=float(np.max(np.abs(g))),
-        iterations=max_iter,
-    )
+        t, w, f = t_next, w_next, f_next
+        g = gradient(w)
+    return SolveReport(status="IterationLimit", gradient_norm=max(map(abs, g), default=0.0),
+                       iterations=max_iter)
+
+
+def _newton_coords(proj, w, eg):
+    """z with (E H E^T) z = -E g, where E H E^T = 4 sum_i w_i (E q_i)(E q_i)^T,
+    solved exactly on the float entries; None where that fails."""
+    m = len(eg)
+    rows = [[4.0 * sum(x * p[b] * p[c] for x, p in zip(w, proj)) for c in range(m)]
+            for b in range(m)]
+    if not all(map(math.isfinite, itertools.chain(eg, *rows))):
+        return None
+    _, z = solve_rational(rows, [-x for x in eg])
+    try:
+        return None if z is None else [float(x) for x in z]
+    except OverflowError:  # a coordinate beyond float range
+        return None
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def unstable_supports(charges: IntMatrix, fi):

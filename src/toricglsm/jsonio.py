@@ -20,8 +20,7 @@ from .lattice import IntMatrix
 
 
 def rational_to_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def _dict(value, what) -> dict:
@@ -73,11 +72,14 @@ def fan_from_dict(obj) -> Fan:
         raise ValueError(f"fan object missing field: {exc}") from None
     if not rays:
         raise ValueError("fan needs at least one ray")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"fan name must be a string, got {type(name).__name__}")
     return Fan(
         dim=len(rays[0]),
         rays=tuple(tuple(r) for r in rays),
         max_cones=tuple(tuple(c) for c in cones),
-        name=obj.get("name", ""),
+        name=name,
     )
 
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricglsm
 from toricglsm import jsonio
 from toricglsm.cli import main
 from toricglsm.fan import Fan
+from toricglsm.glsm import kempf_ness_solve
 
 
 def run(capsys, *argv):
@@ -197,6 +203,33 @@ def test_glsm_solve_unstable(capsys, tmp_path):
     assert payload["recession_direction"] is not None
 
 
+def test_glsm_solve_overflowing_exponent(capsys, tmp_path):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps({"charges": [[300]], "fi": ["300000000"], "amplitudes": ["1"]}))
+    code, out, err = run(capsys, "glsm-solve", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] in ("Converged", "IterationLimit")
+
+
+def test_glsm_runs_without_numpy(tmp_path):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(_GLSM))
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from toricglsm.cli import main\n"
+        "sys.exit(main(['glsm-solve', sys.argv[1]]) or main(['glsm-phase', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(toricglsm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = kempf_ness_solve(jsonio.glsm_from_dict(_GLSM))
+    assert rep.status == "Converged"
+    assert all(type(x) is float for x in rep.t)
+
+
 def test_fan_json_roundtrip(tmp_path, golden_fans):
     for f in golden_fans:
         d = jsonio.fan_to_dict(f)
@@ -276,9 +309,11 @@ _COLLECTION = {"fan": "P2", "degrees": [1, 1, 1], "sections": ["z0", "z1", "z0 +
         ("glsm-solve", dict(_GLSM, fi="1"), "fi must be a list"),
         ("delta-check", [1], "collection must be an object, got list"),
         ("delta-check", dict(_COLLECTION, sections=[1, 2, 3]), "strings, got 1"),
+        ("collapse", {"main": dict(_COLLECTION, fan=dict(_FAN, name=[1])), "attachments": []},
+         "fan name must be a string, got list"),
     ],
     ids=["float-ray", "bool-cone", "float-charge", "bool-degree", "scalar-rays", "string-fi",
-         "list-document", "int-sections"],
+         "list-document", "int-sections", "list-name"],
 )
 def test_strict_json_input(capsys, tmp_path, cmd, payload, message):
     path = tmp_path / "in.json"

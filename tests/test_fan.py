@@ -22,6 +22,18 @@ def test_nested_cones_invalid():
     assert any("intersect outside" in i for i in rep.issues)
 
 
+@pytest.mark.parametrize(
+    "extra, issues",
+    [((0, 1), ("cone 3 repeats cone 0",)),
+     ((0,), ("cone 3 lies in cone 0", "cone 3 lies in cone 1"))],
+    ids=["repeated", "face"],
+)
+def test_repeated_or_nested_maximal_cone_invalid(p2, extra, issues):
+    # P2 plus a second copy of its cone {0, 1}, or plus the ray {0}
+    f = Fan(dim=2, rays=p2.rays, max_cones=((0, 1), (0, 2), (1, 2), extra))
+    assert validate_fan(f).issues == issues
+
+
 def test_nonprimitive_ray_invalid():
     f = Fan(dim=2, rays=((2, 0), (0, 1)), max_cones=((0, 1),))
     rep = validate_fan(f)

@@ -98,19 +98,26 @@ def test_solver_p2_closed_form(p2):
     assert rep.gradient_norm < 1e-10
 
 
+def _residual(p, t):
+    """Sup norm of the moment map Q s(t) - r at t."""
+    Q = p.charges
+    w = [
+        float(a) * math.exp(2 * sum(Q.at(k, i) * t[k] for k in range(Q.rows)))
+        for i, a in enumerate(p.amplitudes)
+    ]
+    return max(
+        abs(sum(Q.at(k, i) * w[i] for i in range(Q.cols)) - float(p.fi[k]))
+        for k in range(Q.rows)
+    )
+
+
 def test_solver_residual_is_moment_map(p1xp1):
     Q = charges_of(p1xp1)
     p = GLSMProblem(charges=Q, fi=(2, 3), amplitudes=(1, 2, 1, 1))
     rep = kempf_ness_solve(p, tol=1e-9)
     assert rep.status == "Converged"
     # residual Q s(t) - r at the minimizer matches half the gradient
-    s = [
-        float(a) * math.exp(2 * sum(Q.at(k, i) * rep.t[k] for k in range(Q.rows)))
-        for i, a in enumerate(p.amplitudes)
-    ]
-    for k in range(Q.rows):
-        resid = sum(Q.at(k, i) * s[i] for i in range(Q.cols)) - float(p.fi[k])
-        assert abs(resid) < 1e-9
+    assert _residual(p, rep.t) < 1e-9
 
 
 def test_solver_unstable_certificate(p2):
@@ -130,14 +137,41 @@ def test_solver_unstable_certificate(p2):
 
 
 def test_solver_full_step_when_backtracking_stalls():
-    # Armijo backtracking cannot resolve the decrease here; the solver used
-    # to stall at a gradient of ~1.7e-8 and return IterationLimit
-    Q = IntMatrix.from_rows([[1, 1, 1, 1, 1, 1]])
-    amps = (Fraction(5, 4), Fraction(3, 2), 1, 0, Fraction(1, 4), Fraction(1, 4))
-    rep = kempf_ness_solve(GLSMProblem(charges=Q, fi=(7,), amplitudes=amps))
+    cases = [
+        # Armijo backtracking cannot resolve the decrease on these two; the
+        # solver used to stall at a gradient of ~1.7e-8 and ~1.9e-8
+        ([[1, 1, 1, 1, 1, 1]], (7,),
+         (Fraction(5, 4), Fraction(3, 2), 1, 0, Fraction(1, 4), Fraction(1, 4))),
+        ([[1, 0, 1, 2], [0, 1, 0, 1]], (5, Fraction(3, 2)),
+         (Fraction(1, 4), 0, Fraction(1, 4), 2)),
+        # badly scaled charges: t0 ~ 6.9 but a basis coordinate ~ 2.8e5, so
+        # the iterate must be kept in t
+        ([[1, 200], [0, 1]], (10**6, 3), (1, 1)),
+    ]
+    for rows, fi, amps in cases:
+        p = GLSMProblem(charges=IntMatrix.from_rows(rows), fi=fi, amplitudes=amps)
+        rep = kempf_ness_solve(p)
+        assert rep.status == "Converged", rows
+        assert _residual(p, rep.t) <= 1e-8, rows
+
+
+def test_solver_stays_in_support_span():
+    # the support charges (1,1) and (2,2) span a line: the Hessian is
+    # singular and the minimizer set is a line, of which t is the point in
+    # the span
+    p = GLSMProblem(charges=IntMatrix.from_rows([[1, 2], [1, 2]]), fi=(6, 6), amplitudes=(1, 1))
+    rep = kempf_ness_solve(p)
     assert rep.status == "Converged"
-    w = sum(float(a) for a in amps) * math.exp(2 * rep.t[0])
-    assert abs(w - 7) <= 1e-8
+    assert abs(rep.t[0] - rep.t[1]) <= 1e-12
+    assert _residual(p, rep.t) <= 1e-8
+
+
+def test_solver_survives_overflowing_exponent():
+    # the first Newton step puts 2 q t near 1e6, far past exp's range
+    p = GLSMProblem(charges=IntMatrix.from_rows([[300]]), fi=(3 * 10**8,), amplitudes=(1,))
+    rep = kempf_ness_solve(p)
+    assert rep.status in ("Converged", "IterationLimit")
+    assert math.isfinite(rep.gradient_norm)
 
 
 def test_gradient_finite_difference(p1xp1, f1):
