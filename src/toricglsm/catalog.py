@@ -49,7 +49,18 @@ def by_name(name: str) -> Fan:
     m = re.fullmatch(r"F(\d+)", name)
     if m:
         return hirzebruch(int(m.group(1)))
-    raise KeyError(f"unknown fan name {name!r}")
+    raise ValueError(f"unknown fan name {name!r}")
+
+
+def builds(f: Fan) -> bool:
+    """True iff by_name(f.name) == f.  P<n> is built only when n is f's
+    dimension, so a plane fan labelled "P99999" costs nothing."""
+    if re.fullmatch(r"P\d+", f.name) and f.name != f"P{f.dim}":
+        return False
+    try:
+        return by_name(f.name) == f
+    except ValueError:  # not a catalog name
+        return False
 
 
 GOLDEN_NAMES = ("P1", "P2", "P3", "P4", "P1xP1", "F0", "F1", "F2")

@@ -1,6 +1,8 @@
 """Command-line front end: file-based, deterministic, batch-oriented.
 
-Exit codes: 0 success, 1 domain error (bad input data), 2 usage error.
+Exit codes: 0 success, 1 bad input data, 2 usage error.  Every bad input,
+unreadable file or unwritable output is reported by `main` alone, as one
+`error: <source>: <message>` line on stderr with stdout left empty.
 JSON output has sorted keys so identical inputs give identical bytes.
 """
 
@@ -20,18 +22,12 @@ from .collapse import collapse as run_collapse
 from .forms import format_form
 
 
-class DomainError(Exception):
-    pass
-
-
 def _load_json(path):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
 
 def _emit(payload, args, text_renderer):
@@ -46,15 +42,8 @@ def _emit(payload, args, text_renderer):
         sys.stdout.write(out)
 
 
-def _wrap(path, fn):
-    try:
-        return fn()
-    except (ValueError, KeyError) as exc:
-        raise DomainError(f"{path}: {exc}") from None
-
-
 def cmd_fan_check(args):
-    f = _wrap(args.fan, lambda: jsonio.fan_from_dict(_load_json_or_name(args.fan)))
+    f = jsonio.fan_from_dict(_load_json_or_name(args.source))
     report = fan_mod.validate_fan(f)
     payload = {
         "valid": report.ok,
@@ -98,8 +87,8 @@ def _load_json_or_name(arg):
 
 
 def cmd_cox(args):
-    f = _wrap(args.fan, lambda: jsonio.fan_from_dict(_load_json_or_name(args.fan)))
-    pres = _wrap(args.fan, lambda: cox_mod.cox_presentation(f))
+    f = jsonio.fan_from_dict(_load_json_or_name(args.source))
+    pres = cox_mod.cox_presentation(f)
     payload = {
         "pic_rank": pres.pic_rank,
         "charge_matrix": pres.charge_matrix.to_rows(),
@@ -125,13 +114,13 @@ def _parse_degree(text):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise DomainError(f"bad degree vector {text!r}: expected comma-separated integers")
+        raise ValueError(f"bad degree vector {text!r}: expected comma-separated integers") from None
 
 
 def cmd_moduli_dim(args):
-    f = _wrap(args.fan, lambda: jsonio.fan_from_dict(_load_json_or_name(args.fan)))
+    f = jsonio.fan_from_dict(_load_json_or_name(args.source))
     d = _parse_degree(args.degree)
-    summary = _wrap(args.fan, lambda: moduli_mod.summarize(f, d))
+    summary = moduli_mod.summarize(f, d)
     payload = {
         "degree": list(summary.degree),
         "y_dim": summary.y_dim,
@@ -140,7 +129,7 @@ def cmd_moduli_dim(args):
         "w_dim_note": "orbit-space dimension assuming generically trivial stabilizer",
     }
     if args.sample:
-        c = _wrap(args.fan, lambda: moduli_mod.sample(f, d, args.seed, args.bound))
+        c = moduli_mod.sample(f, d, args.seed, args.bound)
         payload["sample"] = jsonio.collection_to_dict(c)
     _emit(payload, args, _render_moduli)
 
@@ -158,7 +147,7 @@ def _render_moduli(p):
 
 
 def cmd_delta_check(args):
-    c = _wrap(args.collection, lambda: jsonio.collection_from_dict(_load_json(args.collection)))
+    c = jsonio.collection_from_dict(_load_json(args.source))
     nonvan = delta_mod.is_nonvanishing(c)
     payload = {
         "nonvanishing": nonvan,
@@ -182,8 +171,7 @@ def _render_delta(p):
 
 
 def cmd_collapse(args):
-    data = _wrap(args.stable_map, lambda: jsonio.stable_map_from_dict(_load_json(args.stable_map)))
-    result = _wrap(args.stable_map, lambda: run_collapse(data))
+    result = run_collapse(jsonio.stable_map_from_dict(_load_json(args.source)))
     bd = delta_mod.base_divisor(result.collection)
     payload = {
         "collection": jsonio.collection_to_dict(result.collection),
@@ -203,8 +191,8 @@ def _render_collapse(p):
 
 
 def cmd_glsm_solve(args):
-    prob = _wrap(args.problem, lambda: jsonio.glsm_from_dict(_load_json(args.problem)))
-    report = _wrap(args.problem, lambda: glsm_mod.kempf_ness_solve(prob, tol=args.tol, max_iter=args.max_iter))
+    prob = jsonio.glsm_from_dict(_load_json(args.source))
+    report = glsm_mod.kempf_ness_solve(prob, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "status": report.status,
         "t": list(report.t) if report.t is not None else None,
@@ -229,8 +217,8 @@ def _render_solve(p):
 
 
 def cmd_glsm_phase(args):
-    prob = _wrap(args.problem, lambda: jsonio.glsm_from_dict(_load_json(args.problem)))
-    sets = _wrap(args.problem, lambda: glsm_mod.unstable_supports(prob.charges, prob.fi))
+    prob = jsonio.glsm_from_dict(_load_json(args.source))
+    sets = glsm_mod.unstable_supports(prob.charges, prob.fi)
     payload = {"minimal_unstable_sets": [list(s) for s in sets]}
     _emit(payload, args, lambda p: "minimal unstable zero-sets: " + _sets(p["minimal_unstable_sets"]) + "\n")
 
@@ -250,17 +238,17 @@ def build_parser():
         sp.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     sp = sub.add_parser("fan-check", help="validate a fan; report smooth/complete/nef-proxy")
-    sp.add_argument("fan", help="fan JSON file or built-in name (P2, F1, ...)")
+    sp.add_argument("source", metavar="fan", help="fan JSON file or built-in name (P2, F1, ...)")
     common(sp)
     sp.set_defaults(fn=cmd_fan_check)
 
     sp = sub.add_parser("cox", help="Cox quotient presentation of a fan")
-    sp.add_argument("fan")
+    sp.add_argument("source", metavar="fan")
     common(sp)
     sp.set_defaults(fn=cmd_cox)
 
     sp = sub.add_parser("moduli-dim", help="dimension counts for a multidegree")
-    sp.add_argument("fan")
+    sp.add_argument("source", metavar="fan")
     sp.add_argument("--degree", required=True, help="comma-separated multidegree, one entry per ray")
     sp.add_argument("--sample", action="store_true", help="include a seeded random nonvanishing collection")
     sp.add_argument("--seed", type=int, default=0)
@@ -269,24 +257,24 @@ def build_parser():
     sp.set_defaults(fn=cmd_moduli_dim)
 
     sp = sub.add_parser("delta-check", help="nonvanishing/nondegeneracy of a collection")
-    sp.add_argument("collection", help="collection JSON file")
+    sp.add_argument("source", metavar="collection", help="collection JSON file")
     common(sp)
     sp.set_defaults(fn=cmd_delta_check)
 
     sp = sub.add_parser("collapse", help="collapse genus-0 stable-map data")
-    sp.add_argument("stable_map", help="stable-map JSON file")
+    sp.add_argument("source", metavar="stable_map", help="stable-map JSON file")
     common(sp)
     sp.set_defaults(fn=cmd_collapse)
 
     sp = sub.add_parser("glsm-solve", help="solve the moment-map equation")
-    sp.add_argument("problem", help="GLSM JSON file")
+    sp.add_argument("source", metavar="problem", help="GLSM JSON file")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iter", type=int, default=200)
     common(sp)
     sp.set_defaults(fn=cmd_glsm_solve)
 
     sp = sub.add_parser("glsm-phase", help="minimal unstable zero-sets for an FI vector")
-    sp.add_argument("problem", help="GLSM JSON file")
+    sp.add_argument("source", metavar="problem", help="GLSM JSON file")
     common(sp)
     sp.set_defaults(fn=cmd_glsm_phase)
 
@@ -294,14 +282,18 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return 0
+    except OSError as exc:  # an input file, the -o target, or stdout itself
+        where, message = exc.filename or "stdout", exc.strerror
+    except KeyError as exc:  # a JSON object without a required field
+        where, message = args.source, f"missing field {exc}"
+    except ValueError as exc:
+        where, message = args.source, exc
+    print(f"error: {where}: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

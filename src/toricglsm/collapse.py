@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import forms
 from .delta import WeakDeltaCollection, admissible, is_nondegenerate
-from .fan import ValidationReport, is_complete, is_smooth, prime_divisors_nef, validate_fan
+from .fan import ValidationReport, is_complete, is_smooth, prime_divisors_nef
 from .forms import Mobius
 
 
@@ -60,10 +60,7 @@ def _same_point(p, q):
 
 def validate(data: GenusZeroStableMapData) -> ValidationReport:
     issues = []
-    f = data.main.fan
-    rep = validate_fan(f)
-    if not rep.ok:
-        return ValidationReport(tuple("fan: " + i for i in rep.issues))
+    f = data.main.fan  # valid: the main collection required it
     if not is_smooth(f) or not is_complete(f):
         issues.append("fan must be smooth and complete")
         return ValidationReport(tuple(issues))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fan import Fan, require_smooth_complete, require_valid
-from .lattice import IntMatrix, integer_kernel, smith_normal_form
+from .lattice import IntMatrix, smith_normal_form
 
 _MAX_RAYS_FOR_COLLECTIONS = 16
 
@@ -74,14 +74,15 @@ def cox_presentation(f: Fan) -> CoxPresentation:
     require_smooth_complete(f)
 
     B = IntMatrix.from_rows(list(f.rays))
-    torsion = tuple(
-        d for d in smith_normal_form(B).diagonal() if d not in (0, 1)
-    )
+    # one SNF of B^T: its diagonal (the invariant factors of B) shows the
+    # torsion, and V's columns past the rank are a basis of ker B^T
+    snf = smith_normal_form(B.transpose())
+    torsion = tuple(d for d in snf.diagonal() if d not in (0, 1))
     if torsion:
         raise ValueError(
             f"divisor class group has torsion {torsion}; presentation refused"
         )
-    kernel = integer_kernel(B.transpose())
+    kernel = [snf.V.column(j) for j in range(snf.rank(), f.n_rays)]
     Q = IntMatrix.from_rows(kernel) if kernel else IntMatrix.zero(0, f.n_rays)
     pic_rank = f.n_rays - f.dim
     if Q.rows != pic_rank:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import IntMatrix, rank, smith_normal_form, solve_integer
+from .lattice import IntMatrix, rank, smith_normal_form, solve_rational
 from . import ratlp
 
 
@@ -225,16 +225,16 @@ def walls(f: Fan):
         (left_extra,) = set(f.max_cones[ca]) - set(facet)
         (right_extra,) = set(f.max_cones[cb]) - set(facet)
         # n_left + n_right + sum_i a_i n_{w_i} = 0; wall rays independent,
-        # smoothness makes the a_i integers
-        A = IntMatrix.from_rows([[f.rays[i][j] for i in facet] for j in range(f.dim)])
-        coeffs = solve_integer(A, [-a - b for a, b in zip(f.rays[left_extra], f.rays[right_extra])])
-        if coeffs is None:
+        # so the a_i are unique, and smoothness makes them integers
+        A = [[f.rays[i][j] for i in facet] for j in range(f.dim)]
+        _, coeffs = solve_rational(A, [-a - b for a, b in zip(f.rays[left_extra], f.rays[right_extra])])
+        if coeffs is None or any(c.denominator != 1 for c in coeffs):
             raise ValueError("non-integral wall relation on a smooth fan")
         relation = [0] * f.n_rays
         relation[left_extra] += 1
         relation[right_extra] += 1
         for i, c in zip(facet, coeffs):
-            relation[i] += c
+            relation[i] += int(c)
         out.append(Wall(tuple(facet), ca, cb, tuple(relation)))
     return tuple(out)
 

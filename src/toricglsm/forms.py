@@ -333,13 +333,12 @@ def _poly_gcd(p, q):
     return p
 
 
-def _homogenize(s, p, degree=None):
+def _homogenize(s, p):
     """z1^s * (univariate p in z0 homogenized)."""
     d = s + len(p) - 1
     coeffs = [Fraction(0)] * (d + 1)
     for i, c in enumerate(p):
-        # z0^i z1^(d - i - ... ) -- term z0^i gets z1^(len(p)-1-i) * z1^s
-        coeffs[d - i] = c
+        coeffs[d - i] = c  # c z0^i z1^(d - i)
     return BinaryForm(d, tuple(coeffs))
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import ratlp
 from .cox import CoxPresentation, minimal_transversals
 from .fan import Fan, walls
-from .lattice import IntMatrix, rank, solve_integer, solve_rational
+from .lattice import IntMatrix, rank, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -217,20 +217,22 @@ def _floats(values):
 def pair_divisor_curve(pres: CoxPresentation, divisor_class, d) -> int:
     """Intersection number of a divisor class with an admissible curve class.
 
-    Computed as e . d for any integer lift e of the class through the
-    charge matrix; admissibility of d makes the lift ambiguity pair to 0.
+    An admissible d lies in the row space of the charge matrix Q, so
+    Q^T c = d has a unique solution, and the pairing is class . c (= e . d
+    for any lift e of the class through Q).  c is integral because the rows
+    of Q are a basis of the saturated lattice of admissible degrees.
     """
     d = tuple(int(x) for x in d)
-    B = pres.ray_matrix
-    if len(d) != B.rows:
+    divisor_class = tuple(int(x) for x in divisor_class)
+    Q = pres.charge_matrix
+    if len(d) != Q.cols:
         raise ValueError("curve degree length must equal number of rays")
-    for j in range(B.cols):
-        if sum(d[i] * B.at(i, j) for i in range(B.rows)) != 0:
-            raise ValueError("curve degree is not admissible")
-    lift = solve_integer(pres.charge_matrix, tuple(int(x) for x in divisor_class))
-    if lift is None:
-        raise ValueError("divisor class has no integer lift")
-    return sum(e * x for e, x in zip(lift, d))
+    if len(divisor_class) != Q.rows:
+        raise ValueError("divisor class length must equal the Picard rank")
+    _, c = solve_rational(Q.transpose().to_rows(), d)
+    if c is None:
+        raise ValueError("curve degree is not admissible")
+    return int(sum(a * x for a, x in zip(divisor_class, c)))
 
 
 def kahler_cone_contains(f: Fan, pres: CoxPresentation, divisor_class) -> bool:

@@ -65,11 +65,8 @@ def fan_from_dict(obj) -> Fan:
     if isinstance(obj, str):
         return catalog.by_name(obj)
     obj = _dict(obj, "fan")
-    try:
-        rays = _int_rows(obj["rays"], "rays")
-        cones = _int_rows(obj["max_cones"], "max_cones")
-    except KeyError as exc:
-        raise ValueError(f"fan object missing field: {exc}") from None
+    rays = _int_rows(obj["rays"], "rays")
+    cones = _int_rows(obj["max_cones"], "max_cones")
     if not rays:
         raise ValueError("fan needs at least one ray")
     name = obj.get("name", "")
@@ -85,7 +82,7 @@ def fan_from_dict(obj) -> Fan:
 
 def collection_to_dict(c: WeakDeltaCollection) -> dict:
     return {
-        "fan": c.fan.name if c.fan.name else fan_to_dict(c.fan),
+        "fan": c.fan.name if catalog.builds(c.fan) else fan_to_dict(c.fan),
         "degrees": list(c.degree),
         "sections": [format_form(u) for u in c.sections],
         "trivializations": [rational_to_str(t) for t in c.trivializations],

@@ -75,6 +75,44 @@ def test_missing_file_is_domain_error(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (["fan-check", "P2", "-o", "{tmp}/missing/x.json"], None,
+         "error: {tmp}/missing/x.json: No such file or directory\n"),
+        (["delta-check", "{tmp}/in.json"],
+         {"main": {"fan": "P1", "degrees": [1, 1], "sections": ["z0", "z1"]}, "attachments": []},
+         "error: {tmp}/in.json: missing field 'fan'\n"),
+        (["cox", "NotAFan"], None, "error: NotAFan: unknown fan name 'NotAFan'\n"),
+        (["moduli-dim", "P2", "--degree", "1,x"], None,
+         "error: P2: bad degree vector '1,x': expected comma-separated integers\n"),
+        (["glsm-phase", "{tmp}/in.json"], b"\xff\xfe", "error: {tmp}/in.json: 'utf-8' codec"),
+    ],
+    ids=["unwritable-output", "missing-field", "unknown-name", "bad-degree", "not-utf8"],
+)
+def test_one_error_line(capsys, tmp_path, argv, document, message):
+    path = tmp_path / "in.json"
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    elif document is not None:
+        path.write_text(json.dumps(document))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(message.format(tmp=tmp_path))
+    assert err.count("\n") == 1
+
+
+def test_closed_stdout_is_one_error_line(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["cox", "P2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: stdout: Broken pipe\n"
+
+
 def test_malformed_json_is_domain_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -337,3 +375,51 @@ def test_cox_ray_cap_before_validation(capsys):
     code, out, err = run(capsys, "cox", "P40")
     assert code == 1 and out == ""
     assert "limited to 16 rays" in err
+
+
+_P1XP1_AS_F1 = {"name": "F1", "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                "max_cones": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+
+
+@pytest.mark.parametrize("fan, degrees", [
+    (_P1XP1_AS_F1, [1, 1, 1, 1]),  # a catalog name on another fan of its dimension
+    (dict(_FAN, name="P99999"), [1, 1, 1]),  # a catalog name of another dimension
+    (dict(_FAN, name="mine"), [1, 1, 1]),  # not a catalog name
+])
+def test_collection_with_foreign_fan_name_roundtrips(fan, degrees):
+    from toricglsm.delta import WeakDeltaCollection
+    from toricglsm.forms import parse_form
+
+    f = jsonio.fan_from_dict(fan)
+    c = WeakDeltaCollection(f, tuple(degrees), tuple(parse_form(f"z{i % 2}") for i in degrees))
+    d = jsonio.collection_to_dict(c)
+    assert d["fan"] == fan  # the full object, never a name that reads back as another fan
+    assert jsonio.collection_from_dict(json.loads(json.dumps(d))) == c
+
+
+def test_catalog_fan_written_by_name(golden_fans):
+    from toricglsm.delta import WeakDeltaCollection
+    from toricglsm.forms import parse_form
+
+    for f in golden_fans:
+        c = WeakDeltaCollection(f, (0,) * f.n_rays, (parse_form("1"),) * f.n_rays)
+        assert jsonio.collection_to_dict(c)["fan"] == f.name
+
+
+def test_collapse_output_feeds_delta_check(capsys, tmp_path):
+    # P1xP1's rays and cones labelled "F1": the collapsed collection must
+    # read back as P1xP1, not as the Hirzebruch surface F1
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({
+        "main": {"fan": _P1XP1_AS_F1, "degrees": [1, 1, 1, 1], "sections": ["z0", "z1", "z0", "z1"]},
+        "attachments": [{"point": ["1", "1"], "degree": [1, 1, 0, 0]}],
+    }))
+    out_path = tmp_path / "coll.json"
+    code, _, err = run(capsys, "collapse", str(path), "-o", str(out_path))
+    assert code == 0 and err == ""
+    collection = json.loads(out_path.read_text())["collection"]
+    assert collection["fan"] == _P1XP1_AS_F1
+    out_path.write_text(json.dumps(collection))
+    code, out, err = run(capsys, "delta-check", str(out_path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["base_divisor"] == "z0 - z1"

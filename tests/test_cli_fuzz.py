@@ -91,3 +91,18 @@ def test_unmutated_documents_succeed(doc_path):
         path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([cmd, str(path)]) == 0, cmd
+
+
+def test_unwritable_output_is_one_error_line(doc_path):
+    out = doc_path.with_name("missing") / "out.json"
+    runs = [["moduli-dim", "P2", "--degree", "1,1,1", "--sample"]]
+    for cmd, doc in DOCUMENTS.items():
+        path = doc_path.with_name(cmd + ".json")
+        path.write_text(json.dumps(doc))
+        runs.append([cmd, str(path)])
+    for argv in runs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["-o", str(out)])
+        assert code == 1 and stdout.getvalue() == "", argv
+        assert stderr.getvalue() == f"error: {out}: No such file or directory\n", argv
