@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import IntMatrix, rank, smith_normal_form, solve_rational
@@ -147,12 +146,12 @@ def _bad_intersection(f: Fan, a: int, b: int):
     T = f.max_cones[b]
     cons = []
     for i in sorted(set(S) | set(T)):
-        n = tuple(Fraction(c) for c in f.rays[i])
+        n = f.rays[i]
         neg = tuple(-c for c in n)
         if i in S and i in T:
-            cons += [(n, Fraction(0)), (neg, Fraction(0))]
+            cons += [(n, 0), (neg, 0)]
         else:
-            cons.append((neg, Fraction(-1)) if i in S else (n, Fraction(-1)))
+            cons.append((neg, -1) if i in S else (n, -1))
     if ratlp.feasible(cons, f.dim):
         return None
     return f"cones {a} and {b} intersect outside their common face"

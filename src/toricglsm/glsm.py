@@ -17,7 +17,10 @@ solves (E H E^T) z = -E grad f exactly (lattice.solve_rational on the float
 entries), so t stays in that span.  Armijo backtracking is skipped, and the
 full step taken, once the decrease -grad f . step falls below f's float
 resolution (_RESOLUTION |f|): below it a line search accepts rounding noise
-(Boyd-Vandenberghe, Convex Optimization, 9.5).  Gauge couplings are set
+(Boyd-Vandenberghe, Convex Optimization, 9.5).  For the same reason the
+solve stops once |grad f|_inf < max(tol, 128 eps max_a (|r_a| + sum_i
+|q_ia| w_i)), w_i = s_i exp(2 <q_i, t>): below that floor the gradient's
+entries are rounding noise of their largest terms.  Gauge couplings are set
 to 1 (they rescale the equation without moving its zero set), the
 superpotential is zero, and the extra scalar multiplet is frozen at zero as
 in the geometric phase.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +47,7 @@ _MAX_FIELDS = 16
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _RESOLUTION = 1e-12  # a decrease below this share of |f| is rounding noise
+_FLOOR = 128 * sys.float_info.epsilon  # gradient noise per unit of its largest term
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,9 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     """Damped Newton minimization of the Kempf-Ness function.
 
     Returns Converged with the minimizer when the gradient's sup norm
-    drops below tol; Unstable (with an exact recession certificate when
-    one exists) when the exact pre-check says the infimum is not attained;
-    IterationLimit otherwise.
+    drops below tol, or below the float resolution of its terms; Unstable
+    (with an exact recession certificate when one exists) when the exact
+    pre-check says the infimum is not attained; IterationLimit otherwise.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -145,7 +150,9 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     g = gradient(w)
     for it in range(max_iter):
         gnorm = max(map(abs, g), default=0.0)
-        if gnorm < tol:
+        floor = _FLOOR * max((abs(r[a]) + sum(abs(q[a]) * x for q, x in zip(qs, w))
+                              for a in range(k)), default=0.0)
+        if gnorm < tol or gnorm < floor < math.inf:  # no floor once a weight overflows
             return SolveReport(status="Converged", t=tuple(t), gradient_norm=gnorm, iterations=it)
         eg = [_dot(e, g) for e in basis]
         z = _newton_coords(proj, w, eg)

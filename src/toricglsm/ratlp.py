@@ -1,52 +1,91 @@
 """Exact rational linear feasibility via Fourier-Motzkin elimination.
 
-Constraints are pairs (a, b) meaning a . x <= b with Fraction entries.
-Variable counts stay small here (cone-membership duals in the charge
-space, one n-variable separating functional per cone pair in fan
-validation), so the doubly-exponential worst case of the method never
-bites at this scale.
+Constraints are pairs (a, b) meaning a . x <= b, with int or Fraction
+entries.  Each is kept once, in a set, as a primitive integer row (a..., b):
+denominators cleared by their lcm, then divided by the gcd.  Variables are
+eliminated in the fixed order nvars-1, ..., 0; an equality (a row and its
+negation) involving x_v substitutes x_v out of the other rows instead of
+pairing every upper with every lower bound, and a row 0 <= b < 0 ends the
+search at once.  Every stage is still the exact projection of the same
+polyhedron onto x_0..x_v, and back substitution picks x_v from the interval
+that projection leaves over the x_0..x_{v-1} already chosen, so with the
+order fixed the witness is that of plain Fraction elimination.  Variable
+counts stay small here (cone-membership duals in the charge space, one
+n-variable separating functional per cone pair in fan validation), so the
+doubly-exponential worst case never bites at this scale.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 
+def _primitive(row):
+    """The row as a primitive integer tuple: any denominators cleared by
+    their lcm, then divided by the gcd of the entries."""
+    try:
+        g = math.gcd(*row)
+    except TypeError:  # not all int
+        row = [Fraction(c) for c in row]
+        den = math.lcm(*(c.denominator for c in row))
+        row = [c.numerator * (den // c.denominator) for c in row]
+        g = math.gcd(*row)
+    return tuple(c // g for c in row) if g > 1 else tuple(row)
+
+
 def _combine(p, m, v):
-    """Positive/negative pair -> constraint with variable v eliminated."""
-    ap, bp = p
-    am, bm = m
-    cp = ap[v]
-    cm = -am[v]
-    a = tuple(cm * x + cp * y for x, y in zip(ap, am))
-    return (a, cm * bp + cp * bm)
+    """Rows with p[v] > 0 > m[v] -> primitive row with x_v eliminated."""
+    cp, cm = p[v], -m[v]
+    row = [cm * x + cp * y for x, y in zip(p[:v], m[:v])]
+    row.append(cm * p[-1] + cp * m[-1])
+    return _primitive(row)
 
 
 def fm_witness(constraints, nvars):
     """A rational point satisfying all a.x <= b, or None if infeasible."""
-    cons = [(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in constraints]
-    if any(len(a) != nvars for a, _ in cons):
+    rows = [(*a, b) for a, b in constraints]
+    if any(len(r) != nvars + 1 for r in rows):
         raise ValueError("constraint arity mismatch")
+    cons = set()
+    for r in map(_primitive, rows):
+        if any(r[:-1]):
+            cons.add(r)
+        elif r[-1] < 0:
+            return None
     stack = []
     for v in range(nvars - 1, -1, -1):
-        pos = [c for c in cons if c[0][v] > 0]
-        neg = [c for c in cons if c[0][v] < 0]
-        zero = [c for c in cons if c[0][v] == 0]
+        pos, neg, rest = [], [], set()
+        for r in cons:
+            if r[v] > 0:
+                pos.append(r)
+            elif r[v] < 0:
+                neg.append(r)
+            else:
+                rest.add(r[:v] + r[-1:])
         stack.append((v, pos, neg))
-        new = [_combine(p, m, v) for p in pos for m in neg]
-        cons = zero + new
-        # drop duplicates; keeps the constraint count from snowballing
-        cons = list(dict.fromkeys(cons))
-    if any(b < 0 for _, b in cons):
-        return None
+        eq = next((r for r in pos if tuple(-c for c in r) in cons), None) if neg else None
+        if eq is None:
+            new = (_combine(p, m, v) for p in pos for m in neg)
+        else:  # substitute x_v from the equality eq . x = b
+            opp = tuple(-c for c in eq)
+            new = itertools.chain((_combine(p, opp, v) for p in pos if p != eq),
+                                  (_combine(eq, m, v) for m in neg if m != opp))
+        for r in new:
+            if any(r[:-1]):
+                rest.add(r)
+            elif r[-1] < 0:
+                return None
+        cons = rest
     x = [Fraction(0)] * nvars
     for v, pos, neg in reversed(stack):
         lo, hi = None, None
-        for a, b in pos:  # a[v] > 0: upper bounds
-            bound = (b - sum(a[j] * x[j] for j in range(v))) / a[v]
+        for r in pos:  # r[v] > 0: upper bounds
+            bound = Fraction(r[-1] - sum(r[j] * x[j] for j in range(v)), r[v])
             hi = bound if hi is None else min(hi, bound)
-        for a, b in neg:  # a[v] < 0: lower bounds
-            bound = (b - sum(a[j] * x[j] for j in range(v))) / a[v]
+        for r in neg:  # r[v] < 0: lower bounds
+            bound = Fraction(r[-1] - sum(r[j] * x[j] for j in range(v)), r[v])
             lo = bound if lo is None else max(lo, bound)
         if lo is not None and hi is not None:
             x[v] = (lo + hi) / 2
@@ -72,16 +111,15 @@ def in_cone(point, generators):
     vanishing on the whole cone.
     """
     k = len(point)
-    point = tuple(Fraction(c) for c in point)
-    gens = [tuple(Fraction(c) for c in g) for g in generators]
+    gens = [tuple(g) for g in generators]
     if any(len(g) != k for g in gens):
         raise ValueError("generator dimension mismatch")
-    sep = [(tuple(-c for c in g), Fraction(0)) for g in gens]
-    u = fm_witness(sep + [(point, Fraction(-1))], k)
+    sep = [(tuple(-c for c in g), 0) for g in gens]
+    u = fm_witness(sep + [(point, -1)], k)
     if u is not None:
         return "outside", u
     # u nonnegative on the cone, point.u <= 0, and sum_i q_i.u >= 1
-    total = tuple(-sum(g[j] for g in gens) for j in range(k)) if gens else (Fraction(0),) * k
-    if feasible(sep + [(point, Fraction(0)), (total, Fraction(-1))], k):
+    total = tuple(-sum(g[j] for g in gens) for j in range(k))
+    if feasible(sep + [(point, 0), (total, -1)], k):
         return "boundary", None
     return "interior", None

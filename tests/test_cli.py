@@ -241,6 +241,38 @@ def test_glsm_solve_unstable(capsys, tmp_path):
     assert payload["recession_direction"] is not None
 
 
+@pytest.mark.parametrize(
+    "problem,direction",
+    [
+        ({"charges": [[1, 1, 1]], "fi": ["-1"], "amplitudes": ["1", "1", "1"]}, "-1.0"),
+        ({"charges": [[1, 0, 1, 2], [0, 1, 0, 1]], "fi": ["-5", "3/2"],
+          "amplitudes": ["1", "1", "1", "1"]}, "-0.2,\n    0.0"),
+        ({"charges": [[2, -1, 1], [1, 3, -2]], "fi": ["-7/3", "5"],
+          "amplitudes": ["1", "1/2", "2"]}, "-1.5,\n    -0.5"),
+    ],
+    ids=["P2", "F2", "mixed-sign"],
+)
+def test_glsm_solve_certificate_bytes(capsys, tmp_path, problem, direction):
+    # the exact Fourier-Motzkin certificate, as printed
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "glsm-solve", str(path))
+    assert code == 0
+    assert out == (
+        '{\n  "gradient_norm": NaN,\n  "iterations": 0,\n  "recession_direction": [\n    '
+        + direction + '\n  ],\n  "status": "Unstable",\n  "t": null\n}\n'
+    )
+
+
+def test_glsm_solve_without_charge_rows(capsys, tmp_path):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps({"charges": [], "fi": [], "amplitudes": []}))
+    code, out, _ = run(capsys, "glsm-solve", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "Converged" and payload["t"] == []
+
+
 def test_glsm_solve_overflowing_exponent(capsys, tmp_path):
     path = tmp_path / "glsm.json"
     path.write_text(json.dumps({"charges": [[300]], "fi": ["300000000"], "amplitudes": ["1"]}))

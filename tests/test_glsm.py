@@ -174,6 +174,30 @@ def test_solver_survives_overflowing_exponent():
     assert math.isfinite(rep.gradient_norm)
 
 
+def test_solver_stops_at_float_resolution():
+    # |r| ~ 1e8 puts the gradient's rounding noise (~1e-7) above tol = 1e-8:
+    # the solve stops at the floor 128 eps max_a (|r_a| + sum_i |q_ia| w_i)
+    cases = [
+        ([[300]], (3 * 10**8,), (1,)),
+        ([[1, 1, 3]], (5 * 10**8,), (Fraction(1, 2), 5 * 10**7, 75 * 10**6)),
+    ]
+    for rows, fi, amps in cases:
+        p = GLSMProblem(charges=IntMatrix.from_rows(rows), fi=fi, amplitudes=amps)
+        rep = kempf_ness_solve(p)
+        assert rep.status == "Converged", rows
+        assert rep.iterations <= 20, rows
+        assert _residual(p, rep.t) <= 1e-14 * float(fi[0]), rows
+
+
+def test_solver_without_charge_rows():
+    # no gauge group: the empty FI vector is in every cone, f is constant
+    p = GLSMProblem(charges=IntMatrix(0, 2, ()), fi=(), amplitudes=(1, 2))
+    assert semistable(p.charges, p.support, p.fi) == INTERIOR_STABLE
+    rep = kempf_ness_solve(p)
+    assert rep.status == "Converged"
+    assert rep.t == ()
+
+
 def test_gradient_finite_difference(p1xp1, f1):
     rng = random.Random(91)
     checked = 0
