@@ -3,9 +3,13 @@
 A fan is stored as primitive ray generators plus maximal cones given by
 ray-index sets.  Only simplicial fans are supported; smooth fans are
 automatically simplicial.  Validation is exact and runs once per distinct
-fan: one n-variable separating LP per pair of maximal cones.  Completeness
-is decided exactly, by the pseudomanifold criterion on a valid fan (every
-maximal cone full-dimensional, every facet shared by exactly two).
+fan.  A fan whose maximal cones are full-dimensional, with every facet in
+exactly two of them (a closed pseudomanifold), is proved valid and complete
+from local data: one integer determinant per cone, one sign test per facet
+and one generic point (see `_covers_once`).  Every other fan, and one that
+fails those tests, is checked by one n-variable separating LP per pair of
+maximal cones, which names each bad pair.  Completeness is decided exactly,
+by the pseudomanifold criterion on a valid fan.
 
 "Convexity" of the associated variety has no checkable criterion here;
 what is computed is the proxy "every toric prime divisor is nef", i.e.
@@ -78,6 +82,14 @@ def validate_fan(f: Fan) -> ValidationReport:
 
 @lru_cache(maxsize=None)
 def _validate(f: Fan) -> ValidationReport:
+    """Issues per ray, then per cone, then per pair of maximal cones.
+
+    The pair stage is skipped when `_covers_once` proves the fan valid and
+    complete from one determinant per cone (which also replaces the rank
+    test of a full-dimensional cone), since it proves every pair good.
+    Otherwise each pair is checked by its separating LP, so the issues
+    never depend on whether the local test ran.
+    """
     issues = []
     for i, r in enumerate(f.rays):
         if len(r) != f.dim:
@@ -96,6 +108,7 @@ def _validate(f: Fan) -> ValidationReport:
         return ValidationReport(tuple(issues))
 
     covered = set()
+    dets = []  # of the full-dimensional cones
     for ci, cone in enumerate(f.max_cones):
         if len(set(cone)) != len(cone):
             issues.append(f"cone {ci} repeats a ray index")
@@ -105,21 +118,93 @@ def _validate(f: Fan) -> ValidationReport:
             continue
         covered.update(cone)
         gens = IntMatrix.from_rows([f.rays[i] for i in cone])
-        if rank(gens) != len(cone):
+        if len(cone) == f.dim:
+            dets.append(gens.det())  # sorted rows: _covers_once reads signs by position
+            independent = dets[-1] != 0
+        else:
+            independent = rank(gens) == len(cone)
+        if not independent:
             issues.append(f"cone {ci} is not simplicial (generators dependent)")
     for i in range(f.n_rays):
         if i not in covered:
             issues.append(f"ray {i} appears in no maximal cone")
-    if rank(IntMatrix.from_rows(list(f.rays))) != f.dim:
+    # a nonzero determinant already shows that the rays span
+    if not any(dets) and rank(IntMatrix.from_rows(list(f.rays))) != f.dim:
         issues.append("rays do not span the ambient space")
     if issues:
         return ValidationReport(tuple(issues))
+    if len(dets) == len(f.max_cones) and _covers_once(f, dets):
+        return ValidationReport(())
 
     for a, b in itertools.combinations(range(len(f.max_cones)), 2):
         msg = _nested(f, a, b) or _bad_intersection(f, a, b)
         if msg:
             issues.append(msg)
     return ValidationReport(tuple(issues))
+
+
+def _covers_once(f: Fan, dets) -> bool:
+    """True when the fan, whose maximal cones are all full-dimensional with
+    determinants dets, is proved valid and complete by two local tests:
+
+    (i)  every facet F lies in exactly two maximal cones A = F + a and
+         B = F + b, and det(F, a), det(F, b) have opposite signs;
+    (ii) the point p = sum_t k^t n_{base[t]} over cone 0's rays, for the
+         first k = 2, 3, ... that puts p on no facet, lies in the interior
+         of cone 0 and of no other maximal cone.
+
+    Proof.  Orient each cone so that its determinant is positive.  By (i)
+    the two cones on a facet induce opposite orientations on it, so the
+    cones form an (n-1)-cycle z, and the radial map phi to S^(n-1) carries
+    z to d times the fundamental class.  Each cone is mapped preserving
+    orientation, so a point off the images of the facets lies in the
+    interior of exactly d cones, the same d everywhere, and (ii) shows
+    d = 1.  So no cone is listed twice, and phi is injective: if phi(x) =
+    phi(y) = q, the boundary of the chain of cones through x is made of
+    faces missing x, whose images miss q (phi is injective on a cone), so
+    these cones alone cover every generic point near q, and so do the cones
+    through y; no generic point is covered twice, so some cone holds both x
+    and y, and x = y.  Hence cone(A) and cone(B) meet exactly in
+    cone(A & B), and the image of phi, compact and dense, is the whole
+    sphere: the fan is valid and complete.
+
+    Each Cramer coordinate of p in another cone is a nonzero polynomial of
+    degree < n in k (cone 0's rays are a basis), so at most n (n-1)
+    (|cones| - 1) values of k put p on a facet, and the loop is long enough
+    to reach a generic p.  A False answer proves nothing; the
+    pairwise LPs then decide.
+    """
+    if not f.max_cones:
+        return False
+    n = f.dim
+    for sides in _facet_map(f).values():
+        if len(sides) != 2:
+            return False
+        (a, pa), (b, pb) = sides
+        # sign det(F, a) = sign det(A) (-1)^(n-1-pa): one ray moved to the end
+        if (dets[a] > 0) ^ (pa % 2) == (dets[b] > 0) ^ (pb % 2):
+            return False
+    base = f.max_cones[0]
+    for k in range(2, n * (n - 1) * len(f.max_cones) + 3):
+        p = [sum(k**t * f.rays[i][j] for t, i in enumerate(base)) for j in range(n)]
+        where = [_locate(f, cone, det, p) for cone, det in zip(f.max_cones[1:], dets[1:])]
+        if 0 not in where:
+            return 1 not in where
+    return False
+
+
+def _locate(f: Fan, cone, det, p):
+    """-1, 0 or 1 as p lies outside, on the boundary of, or inside the
+    full-dimensional cone, by the signs of its Cramer coordinates."""
+    rows = [f.rays[i] for i in cone]
+    least = 1
+    for j in range(len(rows)):
+        c = IntMatrix.from_rows(rows[:j] + [p] + rows[j + 1:]).det()
+        if c * det < 0:
+            return -1
+        if c == 0:
+            least = 0
+    return least
 
 
 def _nested(f: Fan, a: int, b: int):
@@ -181,10 +266,12 @@ def is_smooth(f: Fan) -> bool:
 
 
 def _facet_map(f: Fan):
+    """Each facet of a maximal cone -> [(cone index, position in the cone of
+    the ray it adds)], cones in increasing order."""
     facets = {}
     for ci, cone in enumerate(f.max_cones):
-        for facet in itertools.combinations(cone, len(cone) - 1):
-            facets.setdefault(facet, []).append(ci)
+        for pos in range(len(cone)):
+            facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((ci, pos))
     return facets
 
 
@@ -193,6 +280,9 @@ def is_complete(f: Fan) -> bool:
     """Exact completeness: the fan is valid, every maximal cone is
     full-dimensional and every facet lies in exactly two maximal cones.
 
+    A fan with no cone covers nothing; the one cone {0} of a 0-dimensional
+    fan covers R^0.
+
     Proof sketch: a generic segment from an interior point of a maximal
     cone to a point outside the support would leave the support through the
     relative interior of a facet.  That facet lies in exactly two cones, and
@@ -200,7 +290,7 @@ def is_complete(f: Fan) -> bool:
     there.
     """
     require_valid(f)
-    if any(len(c) != f.dim for c in f.max_cones):
+    if not f.max_cones or any(len(c) != f.dim for c in f.max_cones):
         return False
     return all(len(cs) == 2 for cs in _facet_map(f).values())
 
@@ -220,9 +310,9 @@ def walls(f: Fan):
     out = []
     facets = _facet_map(f)
     for facet in sorted(facets):
-        ca, cb = sorted(facets[facet])
-        (left_extra,) = set(f.max_cones[ca]) - set(facet)
-        (right_extra,) = set(f.max_cones[cb]) - set(facet)
+        (ca, pa), (cb, pb) = facets[facet]
+        left_extra = f.max_cones[ca][pa]
+        right_extra = f.max_cones[cb][pb]
         # n_left + n_right + sum_i a_i n_{w_i} = 0; wall rays independent,
         # so the a_i are unique, and smoothness makes them integers
         A = [[f.rays[i][j] for i in facet] for j in range(f.dim)]

@@ -33,6 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ratlp
 from .cox import CoxPresentation, minimal_transversals
@@ -230,20 +231,33 @@ def pair_divisor_curve(pres: CoxPresentation, divisor_class, d) -> int:
     of Q are a basis of the saturated lattice of admissible degrees.
     """
     d = tuple(int(x) for x in d)
-    divisor_class = tuple(int(x) for x in divisor_class)
-    Q = pres.charge_matrix
-    if len(d) != Q.cols:
+    if len(d) != pres.charge_matrix.cols:
         raise ValueError("curve degree length must equal number of rays")
-    if len(divisor_class) != Q.rows:
-        raise ValueError("divisor class length must equal the Picard rank")
-    _, c = solve_rational(Q.transpose().to_rows(), d)
-    if c is None:
-        raise ValueError("curve degree is not admissible")
-    return int(sum(a * x for a, x in zip(divisor_class, c)))
+    return _dot(_class_vector(pres, divisor_class), _curve_class(pres, d))
 
 
 def kahler_cone_contains(f: Fan, pres: CoxPresentation, divisor_class) -> bool:
     """True iff the class pairs strictly positively with every wall curve."""
-    return all(
-        pair_divisor_curve(pres, divisor_class, w.relation) > 0 for w in walls(f)
-    )
+    a = _class_vector(pres, divisor_class)
+    return all(_dot(a, c) > 0 for c in _wall_classes(f, pres))
+
+
+def _class_vector(pres: CoxPresentation, divisor_class):
+    a = tuple(int(x) for x in divisor_class)
+    if len(a) != pres.charge_matrix.rows:
+        raise ValueError("divisor class length must equal the Picard rank")
+    return a
+
+
+def _curve_class(pres: CoxPresentation, d):
+    """The integral c with Q^T c = d (see pair_divisor_curve)."""
+    _, c = solve_rational(pres.charge_matrix.transpose().to_rows(), d)
+    if c is None:
+        raise ValueError("curve degree is not admissible")
+    return tuple(int(x) for x in c)
+
+
+@lru_cache(maxsize=None)
+def _wall_classes(f: Fan, pres: CoxPresentation):
+    """The distinct classes c_w of the wall curves, Q^T c_w = relation."""
+    return frozenset(_curve_class(pres, w.relation) for w in walls(f))

@@ -363,6 +363,65 @@ def test_output_byte_determinism(tmp_path):
     assert outs[0].endswith(b"\n")
 
 
+# P1xP1xP2 with its rays and cones out of the built-in order
+_P1XP1XP2_SHUFFLED = {
+    "rays": [[0, 0, 1, 0], [-1, 0, 0, 0], [0, 0, -1, -1], [0, 1, 0, 0],
+             [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]],
+    "max_cones": [[2, 1, 6, 5], [3, 4, 2, 0], [0, 2, 1, 6], [5, 1, 3, 2], [3, 5, 4, 2], [4, 5, 0, 6],
+                  [5, 0, 1, 3], [3, 0, 5, 4], [2, 0, 1, 3], [6, 0, 4, 2], [2, 4, 5, 6], [0, 1, 6, 5]],
+}
+_YES = "valid: yes\nsmooth: yes\ncomplete: yes\n"
+
+
+def _fan_check_json(per_divisor):
+    return {"complete": True, "issues": [], "nef_per_divisor": per_divisor,
+            "nef_proxy": all(per_divisor), "smooth": True, "valid": True}
+
+
+@pytest.mark.parametrize(
+    "cmd,source,json_payload,text",
+    [
+        ("fan-check", "P5", _fan_check_json([True] * 6),
+         _YES + "convexity proxy (all prime divisors nef): yes\n"),
+        ("cox", "P5",
+         {"charge_matrix": [[1, 1, 1, 1, 1, 1]], "irrelevant_generators": [[5], [4], [3], [2], [1], [0]],
+          "pic_rank": 1, "primitive_collections": [[0, 1, 2, 3, 4, 5]]},
+         "Picard rank: 1\ncharge matrix:\n     1    1    1    1    1    1\n"
+         "irrelevant-ideal generator supports: {5} {4} {3} {2} {1} {0}\n"
+         "primitive collections: {0,1,2,3,4,5}\n"),
+        ("fan-check", "F3", _fan_check_json([True, False, True, True]),
+         _YES + "convexity proxy (all prime divisors nef): no\n"),
+        ("cox", "F3",
+         {"charge_matrix": [[1, -3, 1, 0], [0, 1, 0, 1]], "irrelevant_generators": [[2, 3], [0, 3], [0, 1], [1, 2]],
+          "pic_rank": 2, "primitive_collections": [[0, 2], [1, 3]]},
+         "Picard rank: 2\ncharge matrix:\n     1   -3    1    0\n     0    1    0    1\n"
+         "irrelevant-ideal generator supports: {2,3} {0,3} {0,1} {1,2}\n"
+         "primitive collections: {0,2} {1,3}\n"),
+        ("fan-check", _P1XP1XP2_SHUFFLED, _fan_check_json([True] * 7),
+         _YES + "convexity proxy (all prime divisors nef): yes\n"),
+        ("cox", _P1XP1XP2_SHUFFLED,
+         {"charge_matrix": [[0, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0, 1]],
+          "irrelevant_generators": [[0, 3, 4], [1, 5, 6], [3, 4, 5], [0, 4, 6], [0, 1, 6], [1, 2, 3],
+                                    [2, 4, 6], [1, 2, 6], [4, 5, 6], [1, 3, 5], [0, 1, 3], [2, 3, 4]],
+          "pic_rank": 3, "primitive_collections": [[1, 4], [3, 6], [0, 2, 5]]},
+         "Picard rank: 3\ncharge matrix:\n"
+         "     0    1    0    0    1    0    0\n     1    0    1    0    0    1    0\n"
+         "     0    0    0    1    0    0    1\n"
+         "irrelevant-ideal generator supports: {0,3,4} {1,5,6} {3,4,5} {0,4,6} {0,1,6} {1,2,3} "
+         "{2,4,6} {1,2,6} {4,5,6} {1,3,5} {0,1,3} {2,3,4}\n"
+         "primitive collections: {1,4} {3,6} {0,2,5}\n"),
+    ],
+    ids=["fan-check-P5", "cox-P5", "fan-check-F3", "cox-F3", "fan-check-P1xP1xP2", "cox-P1xP1xP2"],
+)
+def test_fan_check_and_cox_stdout_bytes(capsys, tmp_path, cmd, source, json_payload, text):
+    if not isinstance(source, str):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(source))
+        source = str(path)
+    assert run(capsys, cmd, source) == (0, json.dumps(json_payload, sort_keys=True, indent=2) + "\n", "")
+    assert run(capsys, cmd, source, "--format", "text") == (0, text, "")
+
+
 _FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [0, 2], [1, 2]]}
 _GLSM = {"charges": [[1, 1, 1]], "fi": ["1"], "amplitudes": ["1", "1", "1"]}
 _COLLECTION = {"fan": "P2", "degrees": [1, 1, 1], "sections": ["z0", "z1", "z0 + z1"]}

@@ -1,12 +1,15 @@
 """Fan validation and completeness, checked against the per-ray
 2n-variable intersection LPs and the Monte Carlo completeness test they
-replaced, on built-in fans, products and seeded broken variants."""
+replaced, on built-in fans, products and seeded broken variants; and the
+local validity test against the pairwise LPs it skips."""
 
 import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from toricglsm import catalog, fan
 from toricglsm.delta import WeakDeltaCollection
@@ -190,3 +193,145 @@ def test_fan_validated_once_per_distinct_fan(p2):
     for _ in range(20):
         WeakDeltaCollection(fan=catalog.by_name("P2"), degree=(0, 0, 0), sections=sections)
     assert fan._validate.cache_info().misses == 1
+
+
+def local_and_pairwise(f):
+    """(issues, whether the local test proved the fan valid and complete,
+    issues from the pairwise LPs alone with the local test switched off)."""
+    proved = []
+    covers_once = fan._covers_once
+
+    def spy(f, dets):
+        proved.append(covers_once(f, dets))
+        return proved[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan, "_covers_once", spy)
+        issues = fan._validate.__wrapped__(f).issues
+        mp.setattr(fan, "_covers_once", lambda f, dets: False)
+        pairwise = fan._validate.__wrapped__(f).issues
+    return issues, any(proved), pairwise
+
+
+def _check_local(f):
+    """The local test changes no issue, and it proves exactly the valid
+    complete fans (for these, every maximal cone is full-dimensional and
+    every facet lies in two cones)."""
+    issues, proved, pairwise = local_and_pairwise(f)
+    assert issues == pairwise, f
+    assert proved == (not issues and is_complete(f)), f
+    return proved
+
+
+def _power(f, m):
+    out = f
+    for _ in range(m - 1):
+        out = product(out, f)
+    return out
+
+
+def _cyclic_fans(rng, count):
+    """Plane fans with one cone per consecutive pair of a closed cycle of
+    random rays: in angular order (valid when no gap reaches pi) or in
+    random order (folds and multiple windings); cone order shuffled."""
+    out = []
+    while len(out) < count:
+        m = rng.randint(3, 7)
+        rays = set()
+        while len(rays) < m:
+            r = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if any(r) and math.gcd(*r) == 1:
+                rays.add(r)
+        rays = list(rays)
+        if rng.random() < 0.5:
+            rays.sort(key=lambda r: math.atan2(r[1], r[0]))
+        else:
+            rng.shuffle(rays)
+        cones = [(i, (i + 1) % m) for i in range(m)]
+        rng.shuffle(cones)
+        out.append(Fan(2, tuple(rays), tuple(cones)))
+    return out
+
+
+def _sheared(f, rng):
+    """An image of f under a random unimodular shear, rays relabelled."""
+    rays = [list(r) for r in f.rays]
+    for _ in range(3):
+        a, b = rng.sample(range(f.dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for r in rays:
+            r[a] += c * r[b]
+    order = list(range(f.n_rays))
+    rng.shuffle(order)  # new ray i is old ray order[i]
+    new = {old: i for i, old in enumerate(order)}
+    cones = tuple(tuple(new[i] for i in c) for c in f.max_cones)
+    return Fan(f.dim, tuple(tuple(rays[old]) for old in order), cones)
+
+
+def _swapped(f, rng):
+    """f with one ray index of one cone replaced by another ray."""
+    ci = rng.randrange(len(f.max_cones))
+    cone = list(f.max_cones[ci])
+    cone[rng.randrange(len(cone))] = rng.choice([i for i in range(f.n_rays) if i not in cone])
+    return Fan(f.dim, f.rays, f.max_cones[:ci] + (tuple(cone),) + f.max_cones[ci + 1:])
+
+
+def _products():
+    p1, p2 = catalog.by_name("P1"), catalog.by_name("P2")
+    return [_power(p1, m) for m in range(2, 7)] + [_power(p2, 3), product(p1, p2)]
+
+
+def test_local_test_matches_pairwise_on_built_in_fans_and_products():
+    for f in _base_fans() + _products():
+        assert _check_local(f), f
+    rng = random.Random(9)
+    for f in _base_fans():
+        for broken in _broken_variants(f, rng):
+            _check_local(broken)
+
+
+def test_local_test_matches_pairwise_on_random_plane_fans():
+    fans = _cyclic_fans(random.Random(15), 300)
+    proved = sum(_check_local(f) for f in fans)
+    assert 30 <= proved <= len(fans) - 100
+
+
+def test_local_test_matches_pairwise_on_sheared_solids():
+    rng = random.Random(15)
+    p1, p2 = catalog.by_name("P1"), catalog.by_name("P2")
+    bases = [catalog.by_name("P3"), product(p1, p2), _power(p1, 3), product(p1, catalog.by_name("F1"))]
+    proved = broken = 0
+    for _ in range(40):
+        f = _sheared(rng.choice(bases), rng)
+        proved += _check_local(f)
+        broken += not _check_local(_swapped(f, rng))
+    assert proved == 40 and broken >= 30
+
+
+def _star(rays, step):
+    m = len(rays)
+    return Fan(2, tuple(rays), tuple((i, (i + step) % m) for i in range(m)))
+
+
+def test_star_polygons_fall_back_to_pairwise():
+    # rays in angular order, each cone skipping one: every facet lies in two
+    # cones on opposite sides, but the cones wrap twice around the origin
+    f = Fan(2, ((1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)), ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)))
+    assert validate_fan(f).issues == tuple(
+        f"cones {a} and {b} intersect outside their common face"
+        for a, b in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+    )
+    heptagon = [(1, 0), (2, 3), (-1, 4), (-4, 1), (-3, -2), (1, -4), (4, -3)]
+    # the first generic-point candidate n_0 + 2 n_2 = (3, -9) lies on ray 1
+    on_ray = _star([(-3, -1), (1, -3), (3, -4), (-1, 4), (-2, 3)], 2)
+    for star in (f, _star(heptagon, 2), _star(heptagon, 3), on_ray):
+        assert not _check_local(star)
+        assert not validate_fan(star).ok
+
+
+def test_zero_dimensional_fans():
+    # R^0 is its own single cone; a fan with no cone covers nothing
+    point = Fan(dim=0, rays=(), max_cones=((),))
+    assert validate_fan(point).ok and is_complete(point)
+    empty = Fan(dim=0, rays=(), max_cones=())
+    assert validate_fan(empty).ok and not is_complete(empty)

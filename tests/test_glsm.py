@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from toricglsm import glsm
 from toricglsm.cox import cox_presentation, primitive_collections
+from toricglsm.fan import walls
 from toricglsm.glsm import (
     BOUNDARY_MARGINAL,
     INTERIOR_STABLE,
@@ -309,3 +311,13 @@ def test_kahler_cone_f2():
 
     for w in walls(f2):
         assert pair_divisor_curve(pres, a, w.relation) > 0
+
+
+def test_kahler_cone_matches_wall_pairings(golden_fans):
+    # the cached wall classes against one pairing per wall curve
+    for f in golden_fans:
+        pres = cox_presentation(f)
+        ws = walls(f)
+        for a in itertools.product(range(-3, 4), repeat=pres.pic_rank):
+            expected = all(pair_divisor_curve(pres, a, w.relation) > 0 for w in ws)
+            assert kahler_cone_contains(f, pres, a) == expected, (f.name, a)
