@@ -128,8 +128,7 @@ def _validate(f: Fan) -> ValidationReport:
     for i in range(f.n_rays):
         if i not in covered:
             issues.append(f"ray {i} appears in no maximal cone")
-    # a nonzero determinant already shows that the rays span
-    if not any(dets) and rank(IntMatrix.from_rows(list(f.rays))) != f.dim:
+    if rank(IntMatrix.from_rows(list(f.rays))) != f.dim:
         issues.append("rays do not span the ambient space")
     if issues:
         return ValidationReport(tuple(issues))
