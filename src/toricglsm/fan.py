@@ -5,11 +5,12 @@ ray-index sets.  Only simplicial fans are supported; smooth fans are
 automatically simplicial.  Validation is exact and runs once per distinct
 fan.  A fan whose maximal cones are full-dimensional, with every facet in
 exactly two of them (a closed pseudomanifold), is proved valid and complete
-from local data: one integer determinant per cone, one sign test per facet
-and one generic point (see `_covers_once`).  Every other fan, and one that
-fails those tests, is checked by one n-variable separating LP per pair of
-maximal cones, which names each bad pair.  Completeness is decided exactly,
-by the pseudomanifold criterion on a valid fan.
+from local data: one integer adjugate per cone (kept per fan for smoothness
+and walls), one sign test per facet and one generic point (see
+`_covers_once`).  Every other fan, and one that fails those tests, is
+checked by one n-variable separating LP per pair of maximal cones, which
+names each bad pair.  Completeness is decided exactly, by the
+pseudomanifold criterion on a valid fan.
 
 "Convexity" of the associated variety has no checkable criterion here;
 what is computed is the proxy "every toric prime divisor is nef", i.e.
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .lattice import IntMatrix, rank, smith_normal_form, solve_rational
+from .lattice import IntMatrix, adjugate, rank, smith_normal_form
 from . import ratlp
 
 
@@ -85,8 +87,8 @@ def _validate(f: Fan) -> ValidationReport:
     """Issues per ray, then per cone, then per pair of maximal cones.
 
     The pair stage is skipped when `_covers_once` proves the fan valid and
-    complete from one determinant per cone (which also replaces the rank
-    test of a full-dimensional cone), since it proves every pair good.
+    complete from one adjugate per cone (whose determinant also replaces the
+    rank test of a full-dimensional cone), since it proves every pair good.
     Otherwise each pair is checked by its separating LP, so the issues
     never depend on whether the local test ran.
     """
@@ -108,7 +110,7 @@ def _validate(f: Fan) -> ValidationReport:
         return ValidationReport(tuple(issues))
 
     covered = set()
-    dets = []  # of the full-dimensional cones
+    inverses = _inverses(f)
     for ci, cone in enumerate(f.max_cones):
         if len(set(cone)) != len(cone):
             issues.append(f"cone {ci} repeats a ray index")
@@ -117,13 +119,8 @@ def _validate(f: Fan) -> ValidationReport:
             issues.append(f"cone {ci} has a ray index out of range")
             continue
         covered.update(cone)
-        gens = IntMatrix.from_rows([f.rays[i] for i in cone])
-        if len(cone) == f.dim:
-            dets.append(gens.det())  # sorted rows: _covers_once reads signs by position
-            independent = dets[-1] != 0
-        else:
-            independent = rank(gens) == len(cone)
-        if not independent:
+        inverse = inverses[ci]
+        if (inverse[0] == 0 if inverse else rank(IntMatrix.from_rows([f.rays[i] for i in cone])) < len(cone)):
             issues.append(f"cone {ci} is not simplicial (generators dependent)")
     for i in range(f.n_rays):
         if i not in covered:
@@ -132,7 +129,7 @@ def _validate(f: Fan) -> ValidationReport:
         issues.append("rays do not span the ambient space")
     if issues:
         return ValidationReport(tuple(issues))
-    if len(dets) == len(f.max_cones) and _covers_once(f, dets):
+    if None not in inverses and _covers_once(f, inverses):
         return ValidationReport(())
 
     for a, b in itertools.combinations(range(len(f.max_cones)), 2):
@@ -142,9 +139,22 @@ def _validate(f: Fan) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _covers_once(f: Fan, dets) -> bool:
+@lru_cache(maxsize=None)
+def _inverses(f: Fan):
+    """`adjugate` of the matrix whose columns are the (sorted) rays of each
+    full-dimensional maximal cone with distinct indices in range, so that
+    adj . p / det are the Cramer coordinates of p; None for other cones."""
+    return tuple(
+        adjugate(IntMatrix.from_rows(zip(*(f.rays[i] for i in cone))))
+        if len(set(cone)) == len(cone) == f.dim and all(0 <= i < f.n_rays for i in cone)
+        else None
+        for cone in f.max_cones
+    )
+
+
+def _covers_once(f: Fan, inverses) -> bool:
     """True when the fan, whose maximal cones are all full-dimensional with
-    determinants dets, is proved valid and complete by two local tests:
+    `_inverses` (det, adj), is proved valid and complete by two local tests:
 
     (i)  every facet F lies in exactly two maximal cones A = F + a and
          B = F + b, and det(F, a), det(F, b) have opposite signs;
@@ -181,29 +191,24 @@ def _covers_once(f: Fan, dets) -> bool:
             return False
         (a, pa), (b, pb) = sides
         # sign det(F, a) = sign det(A) (-1)^(n-1-pa): one ray moved to the end
-        if (dets[a] > 0) ^ (pa % 2) == (dets[b] > 0) ^ (pb % 2):
+        if (inverses[a][0] > 0) ^ (pa % 2) == (inverses[b][0] > 0) ^ (pb % 2):
             return False
     base = f.max_cones[0]
     for k in range(2, n * (n - 1) * len(f.max_cones) + 3):
         p = [sum(k**t * f.rays[i][j] for t, i in enumerate(base)) for j in range(n)]
-        where = [_locate(f, cone, det, p) for cone, det in zip(f.max_cones[1:], dets[1:])]
+        where = [_locate(inverse, p) for inverse in inverses[1:]]
         if 0 not in where:
             return 1 not in where
     return False
 
 
-def _locate(f: Fan, cone, det, p):
+def _locate(inverse, p):
     """-1, 0 or 1 as p lies outside, on the boundary of, or inside the
-    full-dimensional cone, by the signs of its Cramer coordinates."""
-    rows = [f.rays[i] for i in cone]
-    least = 1
-    for j in range(len(rows)):
-        c = IntMatrix.from_rows(rows[:j] + [p] + rows[j + 1:]).det()
-        if c * det < 0:
-            return -1
-        if c == 0:
-            least = 0
-    return least
+    full-dimensional cone with this (det, adj): the least sign of the
+    Cramer coordinates adj . p / det."""
+    det, adj = inverse
+    least = min((det * sum(map(operator.mul, adj.row(t), p)) for t in range(adj.rows)), default=1)
+    return (least > 0) - (least < 0)
 
 
 def _nested(f: Fan, a: int, b: int):
@@ -252,15 +257,13 @@ def require_valid(f: Fan):
 def is_smooth(f: Fan) -> bool:
     """True iff every maximal cone's generators extend to a Z-basis."""
     require_valid(f)
-    for cone in f.max_cones:
-        gens = IntMatrix.from_rows([f.rays[i] for i in cone])
-        if len(cone) == f.dim:
-            if abs(gens.det()) != 1:
-                return False
-        else:
-            snf = smith_normal_form(gens)
+    for cone, inverse in zip(f.max_cones, _inverses(f)):
+        if inverse is None:  # lower-dimensional: every invariant factor 1
+            snf = smith_normal_form(IntMatrix.from_rows([f.rays[i] for i in cone]))
             if any(d != 1 for d in snf.diagonal()[: len(cone)]):
                 return False
+        elif abs(inverse[0]) != 1:
+            return False
     return True
 
 
@@ -306,23 +309,19 @@ def require_smooth_complete(f: Fan):
 def walls(f: Fan):
     """All walls of a smooth complete fan, with their curve relations."""
     require_smooth_complete(f)
+    inverses = _inverses(f)
     out = []
     facets = _facet_map(f)
     for facet in sorted(facets):
-        (ca, pa), (cb, pb) = facets[facet]
-        left_extra = f.max_cones[ca][pa]
+        (ca, _), (cb, pb) = facets[facet]
         right_extra = f.max_cones[cb][pb]
-        # n_left + n_right + sum_i a_i n_{w_i} = 0; wall rays independent,
-        # so the a_i are unique, and smoothness makes them integers
-        A = [[f.rays[i][j] for i in facet] for j in range(f.dim)]
-        _, coeffs = solve_rational(A, [-a - b for a, b in zip(f.rays[left_extra], f.rays[right_extra])])
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise ValueError("non-integral wall relation on a smooth fan")
+        # n_right = sum_t x_t n_t over the left cone, x = adj . n_right * det as
+        # det = +-1; x is -1 at n_left, so 1 on n_right and -x is the relation
+        det, adj = inverses[ca]
         relation = [0] * f.n_rays
-        relation[left_extra] += 1
-        relation[right_extra] += 1
-        for i, c in zip(facet, coeffs):
-            relation[i] += int(c)
+        relation[right_extra] = 1
+        for t, i in enumerate(f.max_cones[ca]):
+            relation[i] = -det * sum(map(operator.mul, adj.row(t), f.rays[right_extra]))
         out.append(Wall(tuple(facet), ca, cb, tuple(relation)))
     return tuple(out)
 

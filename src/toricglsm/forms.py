@@ -72,10 +72,6 @@ class Mobius:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def inverse(self):
-        det = self.det
-        return Mobius(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
     def adjugate_apply(self, p):
         """adj(g) applied to a point representative (a, b).
 
@@ -273,16 +269,6 @@ def compose(f: BinaryForm, a: BinaryForm, b: BinaryForm) -> BinaryForm:
     return BinaryForm(f.degree * k, tuple(coeffs))
 
 
-def derivative_z0(f: BinaryForm) -> BinaryForm:
-    """Partial derivative in z0 (degree drops by one)."""
-    if f.degree == 0:
-        return BinaryForm.zero(0)
-    coeffs = [
-        (f.degree - k) * f.coefficients[k] for k in range(f.degree)
-    ]
-    return BinaryForm(f.degree - 1, tuple(coeffs))
-
-
 # -- univariate helpers (dense coefficient lists, low power first) ----------
 
 
@@ -375,22 +361,6 @@ def divides(g: BinaryForm, f: BinaryForm) -> bool:
         return False
     _, r = _poly_divmod(pf, pg)
     return not r
-
-
-def div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """f / g when g divides f exactly."""
-    if g.is_zero:
-        raise ValueError("division by the zero form")
-    if f.is_zero:
-        if g.degree > f.degree:
-            raise ValueError("inexact division")
-        return BinaryForm.zero(f.degree - g.degree)
-    sg, pg = _dehomogenize(g)
-    sf, pf = _dehomogenize(f)
-    q, r = _poly_divmod(pf, pg)
-    if r or sg > sf:
-        raise ValueError("inexact division")
-    return _homogenize(sf - sg, _poly_trim(q))
 
 
 def rational_projective_roots(f: BinaryForm):

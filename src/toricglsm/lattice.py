@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, saturation.
+"""Exact integer linear algebra: adjugates, Smith normal form, rational solving.
 
 Everything here works with arbitrary-precision Python ints.  Matrices are
 immutable; all operations are pure functions, so concurrent callers need
@@ -73,36 +73,44 @@ class IntMatrix:
                 out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
 
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+def adjugate(A: IntMatrix):
+    """(det A, adj A), with adj A @ A = det A * I, by fraction-free
+    Gauss-Jordan elimination of [A | I] (Bareiss, 1968): every entry stays an
+    integer minor, so each division by the previous pivot d is exact.
+
+    At full rank the right block R ends with R @ A = d * I, d = +-det A by
+    the parity of the row swaps.  At rank n - 1, with c the column left
+    without a pivot, adj A = +-u v / d for A u = 0 (u_c = d, read off column
+    c) and v A = 0 (the zero row's multipliers); a lower rank has adj A = 0.
+    """
+    if A.rows != A.cols:
+        raise ValueError("adjugate of non-square matrix")
+    n = A.rows
+    a = [[*A.row(i), *(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
+    sign, prev, pivots = 1, 1, []
+    for k in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][k]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv], sign = a[piv], a[r], -sign
+        row, p = a[r], a[r][k]
+        for i in range(n):
+            f = a[i][k]
+            if i != r and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+        pivots.append(k)
+    if len(pivots) == n:
+        return sign * prev, IntMatrix(n, n, tuple(sign * x for row in a for x in row[n:]))
+    if len(pivots) < n - 1:
+        return 0, IntMatrix.zero(n, n)
+    (c,) = set(range(n)) - set(pivots)
+    u = [prev if j == c else -a[pivots.index(j)][c] for j in range(n)]
+    sign *= (-1) ** (n - 1 - c)  # moving column c last
+    return 0, IntMatrix(n, n, tuple(sign * x * y // prev for x in u for y in a[n - 1][n:]))
 
 
 @dataclass(frozen=True)
@@ -240,53 +248,3 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
-
-
-def integer_kernel(A: IntMatrix):
-    """Basis of the lattice {v in Z^cols : A*v = 0}.
-
-    The basis is the set of columns of V (from the SNF of A) whose
-    corresponding diagonal entry is zero, in V's column order.  The kernel
-    of an integer matrix is automatically saturated.
-    """
-    snf = smith_normal_form(A)
-    r = snf.rank()
-    return [snf.V.column(j) for j in range(r, A.cols)]
-
-
-def saturate(vectors):
-    """Basis of span_Q(vectors) intersected with Z^n.
-
-    Double-kernel construction: the saturation of a rational span is the
-    integer kernel of any matrix whose rows span its orthogonal complement.
-    """
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return []
-    n = len(vecs[0])
-    if any(len(v) != n for v in vecs):
-        raise ValueError("vectors of mixed lengths")
-    perp = integer_kernel(IntMatrix.from_rows(vecs))
-    if not perp:
-        return [IntMatrix.identity(n).column(j) for j in range(n)]
-    return integer_kernel(IntMatrix.from_rows(perp))
-
-
-def solve_integer(A: IntMatrix, b):
-    """Some integer solution x of A*x = b, or None if there is none."""
-    if len(b) != A.rows:
-        raise ValueError("right-hand side has wrong length")
-    snf = smith_normal_form(A)
-    c = snf.U.mul_vec(tuple(b))
-    w = [0] * A.cols
-    diag = snf.diagonal()
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            w[i] = c[i] // d
-    return snf.V.mul_vec(tuple(w))

@@ -135,10 +135,10 @@ def test_degree_additivity(p2, p1xp1):
         for a in atts:
             ell = forms.linear_form_at(a.point)
             for rho in range(fan.n_rays):
-                u = res.collection.sections[rho]
+                power = BinaryForm.one()
                 for _ in range(a.degree[rho]):
-                    assert forms.divides(ell, u)
-                    u = forms.div_exact(u, ell)
+                    power = forms.mul(power, ell)
+                assert forms.divides(power, res.collection.sections[rho])
 
 
 def _random_nondegenerate(rng, fan):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import hermite_normal_form
 
 from toricglsm import catalog
 from toricglsm.cox import cox_presentation, outside_irrelevant_locus, primitive_collections
@@ -32,13 +34,9 @@ def test_f1_presentation(f1):
 
 
 def _assert_same_row_lattice(A, B):
-    from toricglsm.lattice import solve_integer
-
-    At, Bt = A.transpose(), B.transpose()
-    for i in range(B.rows):
-        assert solve_integer(At, B.row(i)) is not None
-    for i in range(A.rows):
-        assert solve_integer(Bt, A.row(i)) is not None
+    # two row lattices are equal iff their Hermite normal forms are
+    hnf = [hermite_normal_form(sympy.Matrix(M.to_rows()).T) for M in (A, B)]
+    assert hnf[0] == hnf[1]
 
 
 def test_invariants_on_golden(golden_fans):

@@ -8,7 +8,7 @@ from toricglsm.fan import (
     validate_fan,
     walls,
 )
-from toricglsm.lattice import IntMatrix
+from toricglsm.lattice import IntMatrix, adjugate
 
 
 def test_p2_valid(p2):
@@ -104,7 +104,7 @@ def test_wall_relations_annihilate_rays(golden_fans):
 def test_smoothness_det_crosscheck(golden_fans):
     for f in golden_fans:
         dets = [
-            abs(IntMatrix.from_rows([f.rays[i] for i in cone]).det())
+            abs(adjugate(IntMatrix.from_rows([f.rays[i] for i in cone]))[0])
             for cone in f.max_cones
         ]
         assert sum(dets) == len(f.max_cones)

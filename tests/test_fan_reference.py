@@ -1,7 +1,9 @@
 """Fan validation and completeness, checked against the per-ray
 2n-variable intersection LPs and the Monte Carlo completeness test they
-replaced, on built-in fans, products and seeded broken variants; and the
-local validity test against the pairwise LPs it skips."""
+replaced, on built-in fans, products and seeded broken variants; the
+local validity test against the pairwise LPs it skips; and the wall
+relations read off the cached adjugates against one rational solve per
+facet."""
 
 import functools
 import itertools
@@ -15,7 +17,7 @@ from toricglsm import catalog, fan
 from toricglsm.delta import WeakDeltaCollection
 from toricglsm.fan import Fan, is_complete, validate_fan
 from toricglsm.forms import BinaryForm
-from toricglsm.lattice import IntMatrix, rank, solve_rational
+from toricglsm.lattice import IntMatrix, adjugate, rank, solve_rational
 from toricglsm.ratlp import feasible
 
 
@@ -201,14 +203,14 @@ def local_and_pairwise(f):
     proved = []
     covers_once = fan._covers_once
 
-    def spy(f, dets):
-        proved.append(covers_once(f, dets))
+    def spy(f, inverses):
+        proved.append(covers_once(f, inverses))
         return proved[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fan, "_covers_once", spy)
         issues = fan._validate.__wrapped__(f).issues
-        mp.setattr(fan, "_covers_once", lambda f, dets: False)
+        mp.setattr(fan, "_covers_once", lambda f, inverses: False)
         pairwise = fan._validate.__wrapped__(f).issues
     return issues, any(proved), pairwise
 
@@ -335,3 +337,68 @@ def test_zero_dimensional_fans():
     assert validate_fan(point).ok and is_complete(point)
     empty = Fan(dim=0, rays=(), max_cones=())
     assert validate_fan(empty).ok and not is_complete(empty)
+
+
+def reference_walls(f):
+    """Walls with their relations n_left + n_right + sum_i a_i n_{w_i} = 0,
+    by one rational Gauss-Jordan solve for the a_i per facet."""
+    facets = {}
+    for ci, cone in enumerate(f.max_cones):
+        for pos in range(len(cone)):
+            facets.setdefault(cone[:pos] + cone[pos + 1:], []).append((ci, pos))
+    out = []
+    for facet in sorted(facets):
+        (ca, pa), (cb, pb) = facets[facet]
+        left, right = f.max_cones[ca][pa], f.max_cones[cb][pb]
+        A = [[f.rays[i][j] for i in facet] for j in range(f.dim)]
+        _, coeffs = solve_rational(A, [-a - b for a, b in zip(f.rays[left], f.rays[right])])
+        assert all(c.denominator == 1 for c in coeffs), f
+        relation = [0] * f.n_rays
+        relation[left] += 1
+        relation[right] += 1
+        for i, c in zip(facet, coeffs):
+            relation[i] += int(c)
+        out.append(fan.Wall(facet, ca, cb, tuple(relation)))
+    return tuple(out)
+
+
+def _signed_permutation(f, rng):
+    """f under a random signed permutation of the coordinates, rays
+    relabelled, so that some cones have determinant -1."""
+    perm = list(range(f.dim))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in range(f.dim)]
+    order = list(range(f.n_rays))
+    rng.shuffle(order)  # new ray i is old ray order[i]
+    new = {old: i for i, old in enumerate(order)}
+    rays = tuple(tuple(sign[b] * f.rays[old][perm[b]] for b in range(f.dim)) for old in order)
+    return Fan(f.dim, rays, tuple(tuple(new[i] for i in c) for c in f.max_cones))
+
+
+def test_walls_match_rational_reference():
+    p1, p2 = catalog.by_name("P1"), catalog.by_name("P2")
+    bases = [catalog.by_name(n) for n in catalog.GOLDEN_NAMES]
+    bases += [catalog.projective_space(5), _power(p2, 3), _power(p1, 6)]
+    rng = random.Random(16)
+    images = [_signed_permutation(f, rng) for f in bases for _ in range(3)]
+    negative = 0
+    for f in bases + images:
+        assert fan.walls(f) == reference_walls(f), f
+        negative += any(det < 0 for det, _ in fan._inverses(f))
+    assert negative >= len(images) // 2
+
+
+def test_one_adjugate_per_maximal_cone(monkeypatch):
+    p2 = catalog.by_name("P2")
+    f = product(p2, p2)
+    for cached in (fan._validate, fan._inverses, fan.is_smooth, fan.is_complete, fan.walls):
+        cached.cache_clear()
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return adjugate(A)
+
+    monkeypatch.setattr(fan, "adjugate", counting)
+    assert validate_fan(f).ok and fan.is_smooth(f) and len(fan.walls(f)) == 18
+    assert len(calls) == len(f.max_cones) == 9

@@ -4,21 +4,14 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from toricglsm.lattice import (
-    IntMatrix,
-    integer_kernel,
-    rank,
-    saturate,
-    smith_normal_form,
-    solve_integer,
-)
+from toricglsm.lattice import IntMatrix, adjugate, rank, smith_normal_form
 
 
 def check_decomposition(A):
     snf = smith_normal_form(A)
     assert snf.U @ A @ snf.V == snf.D
-    assert abs(snf.U.det()) == 1
-    assert abs(snf.V.det()) == 1
+    assert abs(adjugate(snf.U)[0]) == 1
+    assert abs(adjugate(snf.V)[0]) == 1
     diag = snf.diagonal()
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
@@ -63,6 +56,13 @@ def test_snf_random_matrices():
         assert snf.rank() == rank(A)
 
 
+def integer_kernel(A):
+    """The columns of V past the rank of A's Smith form: the basis of the
+    integer kernel that `cox` takes for its charge matrix."""
+    snf = smith_normal_form(A)
+    return [snf.V.column(j) for j in range(snf.rank(), A.cols)]
+
+
 def test_kernel_sum_row():
     A = IntMatrix.from_rows([[1, 1, 1]])
     K = integer_kernel(A)
@@ -93,47 +93,8 @@ def test_kernel_rank_relation():
         )
         K = integer_kernel(A)
         for v in K:
-            assert A.mul_vec(v) == (0,) * r
+            assert A @ IntMatrix.from_rows([v]).transpose() == IntMatrix.zero(r, 1)
         assert len(K) + rank(A) == c
-
-
-def test_saturate_examples():
-    assert saturate([(2, 0)]) == [(1, 0)]
-    assert saturate([]) == []
-    sat = saturate([(1, 1), (1, -1)])
-    assert len(sat) == 2
-    assert abs(IntMatrix.from_rows(sat).det()) == 1  # full Z^2
-
-
-def test_saturate_idempotent():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        m = rng.randint(0, 3)
-        vecs = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(m)]
-        once = saturate(vecs)
-        twice = saturate(once)
-        # same lattice: each basis must solve the other's membership
-        assert len(once) == len(twice)
-        if once:
-            M1 = IntMatrix.from_rows(once).transpose()
-            for v in twice:
-                assert solve_integer(M1, v) is not None
-
-
-def test_solve_integer_examples():
-    A = IntMatrix.from_rows([[2]])
-    assert solve_integer(A, (4,)) == (2,)
-    assert solve_integer(A, (3,)) is None
-    A = IntMatrix.from_rows([[1, -1, 1, 0], [0, 1, 0, 1]])
-    x = solve_integer(A, (1, 1))
-    assert x is not None
-    assert A.mul_vec(x) == (1, 1)
-
-
-def test_solve_integer_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_integer(IntMatrix.from_rows([[1, 2]]), (1, 2))
 
 
 def test_intmatrix_shape_guard():
@@ -151,3 +112,42 @@ def test_snf_diagonal_matches_sympy():
         snf = check_decomposition(IntMatrix.from_rows(rows))
         D = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         assert snf.diagonal() == tuple(abs(D[i, i]) for i in range(min(r, c))), rows
+
+
+def _random_square(rng, n):
+    """Entries in [-3, 3]; about a third of the draws have rank n - 1 or
+    lower (rows mixed from fewer rows), and some are sparse 0/+-1."""
+    draw = rng.random()
+    if draw < 0.35 and n > 1:
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+        mix = [[rng.randint(-2, 2) for _ in base] for _ in range(n)]
+        return [[sum(c * b[j] for c, b in zip(m, base)) for j in range(n)] for m in mix]
+    if draw > 0.85:
+        return [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+
+def test_adjugate_matches_sympy():
+    rng = random.Random(16)
+    corank = {0: 0, 1: 0, 2: 0}
+    for n in range(7):
+        for _ in range(20):
+            rows = _random_square(rng, n)
+            A = IntMatrix(n, n, tuple(x for row in rows for x in row))
+            det, adj = adjugate(A)
+            M = sympy.Matrix(n, n, [x for row in rows for x in row])
+            assert det == M.det(), rows
+            assert adj == IntMatrix(n, n, tuple(int(x) for x in M.adjugate())), rows
+            scalar = IntMatrix(n, n, tuple(det * (i == j) for i in range(n) for j in range(n)))
+            assert adj @ A == A @ adj == scalar
+            corank[min(n - M.rank(), 2)] += 1
+    assert min(corank.values()) >= 10, corank  # the full-rank and both singular branches ran
+
+
+def test_adjugate_edge_cases():
+    assert adjugate(IntMatrix.zero(0, 0)) == (1, IntMatrix.zero(0, 0))
+    assert adjugate(IntMatrix.from_rows([[0]])) == (0, IntMatrix.identity(1))
+    assert adjugate(IntMatrix.from_rows([[-7]])) == (-7, IntMatrix.identity(1))
+    assert adjugate(IntMatrix.zero(3, 3)) == (0, IntMatrix.zero(3, 3))
+    with pytest.raises(ValueError):
+        adjugate(IntMatrix.zero(2, 3))
