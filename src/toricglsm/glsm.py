@@ -38,7 +38,7 @@ from functools import lru_cache
 from . import ratlp
 from .cox import CoxPresentation, minimal_transversals
 from .fan import Fan, walls
-from .lattice import IntMatrix, rank, solve_rational
+from .lattice import IntMatrix, pivot_columns, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -112,13 +112,15 @@ def semistable(charges: IntMatrix, support, fi) -> str:
 def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     """Damped Newton minimization of the Kempf-Ness function.
 
-    Returns Converged with the minimizer when the gradient's sup norm
-    drops below tol, or below the float resolution of its terms; Unstable
-    (with an exact recession certificate when one exists) when the exact
-    pre-check says the infimum is not attained; IterationLimit otherwise.
+    Returns Converged with the minimizer once, within max_iter steps, the
+    gradient's sup norm is below tol or the float resolution of its terms;
+    Unstable (with an exact recession certificate when one exists) when
+    the exact pre-check says the infimum is not attained; else IterationLimit.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     cols = [p.charges.column(i) for i in p.support]
     where, u = ratlp.in_cone(p.fi, cols)
     if where != "interior":
@@ -126,10 +128,8 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
         return SolveReport(status="Unstable", recession_direction=direction)
 
     k = p.charges.rows
-    basis = []  # rows of E: a basis of the support charges' span
-    for q in cols:
-        if len(basis) < k and rank(IntMatrix.from_rows(basis + [q])) > len(basis):
-            basis.append(q)
+    # rows of E: the support charges independent of those before them
+    basis = [cols[j] for j in pivot_columns(IntMatrix.from_rows(zip(*cols)))]
     proj = [[_dot(e, q) for e in basis] for q in cols]  # E q_i
     qs = [_floats(q) for q in cols]
     s = _floats(p.amplitudes[i] for i in p.support)
@@ -149,12 +149,14 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     t = [0.0] * k
     w, f = at(t)
     g = gradient(w)
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         gnorm = max(map(abs, g), default=0.0)
         floor = _FLOOR * max((abs(r[a]) + sum(abs(q[a]) * x for q, x in zip(qs, w))
                               for a in range(k)), default=0.0)
         if gnorm < tol or gnorm < floor < math.inf:  # no floor once a weight overflows
             return SolveReport(status="Converged", t=tuple(t), gradient_norm=gnorm, iterations=it)
+        if it == max_iter:
+            break
         eg = [_dot(e, g) for e in basis]
         z = _newton_coords(proj, w, eg)
         if z is None or not _dot(eg, z) < 0:
@@ -170,8 +172,7 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
                 break
         t, w, f = t_next, w_next, f_next
         g = gradient(w)
-    return SolveReport(status="IterationLimit", gradient_norm=max(map(abs, g), default=0.0),
-                       iterations=max_iter)
+    return SolveReport(status="IterationLimit", gradient_norm=gnorm, iterations=max_iter)
 
 
 def _newton_coords(proj, w, eg):

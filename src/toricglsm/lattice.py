@@ -1,12 +1,13 @@
-"""Exact integer linear algebra: adjugates, Smith normal form, rational solving.
+"""Exact integer linear algebra: one fraction-free Gauss-Jordan elimination
+(adjugates, ranks, pivot columns, rational solves) and Smith normal form.
 
-Everything here works with arbitrary-precision Python ints.  Matrices are
-immutable; all operations are pure functions, so concurrent callers need
-no synchronization.
+Matrices are immutable; all operations are pure functions on
+arbitrary-precision ints, so concurrent callers need no synchronization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,43 +75,50 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(out))
 
 
-def adjugate(A: IntMatrix):
-    """(det A, adj A), with adj A @ A = det A * I, by fraction-free
-    Gauss-Jordan elimination of [A | I] (Bareiss, 1968): every entry stays an
-    integer minor, so each division by the previous pivot d is exact.
-
-    At full rank the right block R ends with R @ A = d * I, d = +-det A by
-    the parity of the row swaps.  At rank n - 1, with c the column left
-    without a pivot, adj A = +-u v / d for A u = 0 (u_c = d, read off column
-    c) and v A = 0 (the zero row's multipliers); a lower rank has adj A = 0.
-    """
-    if A.rows != A.cols:
-        raise ValueError("adjugate of non-square matrix")
-    n = A.rows
-    a = [[*A.row(i), *(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
+def _eliminate(a, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, 1968) of integer rows
+    `a`, in place over their first ncols columns, every entry an integer
+    minor: (pivot columns, d, row-swap sign), each pivot ending equal to d."""
     sign, prev, pivots = 1, 1, []
-    for k in range(n):
+    for k in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, n) if a[i][k]), None)
+        piv = next((i for i in range(r, len(a)) if a[i][k]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv], sign = a[piv], a[r], -sign
         row, p = a[r], a[r][k]
-        for i in range(n):
+        for i in range(len(a)):
             f = a[i][k]
             if i != r and (f or p != prev):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
         prev = p
         pivots.append(k)
-    if len(pivots) == n:
-        return sign * prev, IntMatrix(n, n, tuple(sign * x for row in a for x in row[n:]))
-    if len(pivots) < n - 1:
-        return 0, IntMatrix.zero(n, n)
-    (c,) = set(range(n)) - set(pivots)
-    u = [prev if j == c else -a[pivots.index(j)][c] for j in range(n)]
-    sign *= (-1) ** (n - 1 - c)  # moving column c last
-    return 0, IntMatrix(n, n, tuple(sign * x * y // prev for x in u for y in a[n - 1][n:]))
+    return pivots, prev, sign
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators, as ints (floats exactly)."""
+    try:
+        dens = [x.denominator for x in row]
+    except AttributeError:  # a float
+        row = list(map(Fraction, row))
+        dens = [x.denominator for x in row]
+    den = math.lcm(*dens)
+    return [x.numerator * (den // q) for x, q in zip(row, dens)]
+
+
+def adjugate(A: IntMatrix):
+    """(det A, adj A), with adj A @ A = det A * I, read off the right block
+    of [A | I] after `_eliminate`; (0, None) when A is singular."""
+    if A.rows != A.cols:
+        raise ValueError("adjugate of non-square matrix")
+    n = A.rows
+    a = [[*A.row(i), *(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
+    pivots, d, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * d, IntMatrix(n, n, tuple(sign * x for row in a for x in row[n:]))
 
 
 @dataclass(frozen=True)
@@ -129,37 +137,31 @@ class SmithDecomposition:
 
 
 def solve_rational(rows, b):
-    """(rank, x) for the rational system rows . x = b by Gauss-Jordan
-    elimination: x has its free variables at 0, or is None when the system
-    is inconsistent."""
+    """(rank, x) for the rational system rows . x = b, read off `_eliminate`
+    of [rows | b]: x has its free variables at 0, or is None when the
+    system is inconsistent."""
     if len(b) != len(rows):
         raise ValueError("right-hand side has wrong length")
     n = len(rows[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rows, b)]
-    pivots = []
-    for j in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(len(a)):
-            if i != r and a[i][j] != 0:
-                f = a[i][j] / a[r][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
+    a = [_integer_row([*row, c]) for row, c in zip(rows, b)]
+    pivots, d, _ = _eliminate(a, n)
     r = len(pivots)
-    if any(row[n] != 0 for row in a[r:]):
+    if any(row[n] for row in a[r:]):
         return r, None
     x = [Fraction(0)] * n
-    for i, j in enumerate(pivots):
-        x[j] = a[i][n] / a[i][j]
+    for row, j in zip(a, pivots):
+        x[j] = Fraction(row[n], d)
     return r, tuple(x)
+
+
+def pivot_columns(A: IntMatrix):
+    """The columns of A independent of the columns before them."""
+    return tuple(_eliminate(A.to_rows(), A.cols)[0])
 
 
 def rank(A: IntMatrix) -> int:
     """Rank over Q."""
-    return solve_rational(A.to_rows(), (0,) * A.rows)[0]
+    return len(_eliminate(A.to_rows(), A.cols)[0])
 
 
 def _pivot(a, t, nr, nc):

@@ -53,6 +53,8 @@ def sample(f: Fan, d, seed, coeff_bound) -> WeakDeltaCollection:
         raise ValueError("inadmissible multidegree")
     if any(x < 0 for x in d):
         raise ValueError("negative multidegree entry")
+    if coeff_bound < 0:
+        raise ValueError(f"coefficient bound {coeff_bound} is negative")
     rng = random.Random(seed)
     for _ in range(_REJECTION_BUDGET):
         sections = tuple(

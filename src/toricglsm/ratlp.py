@@ -21,6 +21,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .lattice import _integer_row
+
 
 def _primitive(row):
     """The row as a primitive integer tuple: any denominators cleared by
@@ -28,9 +30,7 @@ def _primitive(row):
     try:
         g = math.gcd(*row)
     except TypeError:  # not all int
-        row = [Fraction(c) for c in row]
-        den = math.lcm(*(c.denominator for c in row))
-        row = [c.numerator * (den // c.denominator) for c in row]
+        row = _integer_row(row)
         g = math.gcd(*row)
     return tuple(c // g for c in row) if g > 1 else tuple(row)
 

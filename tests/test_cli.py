@@ -452,6 +452,30 @@ def test_strict_json_input(capsys, tmp_path, cmd, payload, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-iter", "-5"], "max_iter must be nonnegative, got -5"),
+        (["--tol", "inf"], "tol must be positive and finite, got inf"),
+        (["--tol", "nan"], "tol must be positive and finite, got nan"),
+    ],
+    ids=["negative-max-iter", "inf-tol", "nan-tol"],
+)
+def test_glsm_solve_bad_controls(capsys, tmp_path, flags, message):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(_GLSM))
+    code, out, err = run(capsys, "glsm-solve", str(path), *flags)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_moduli_sample_negative_bound(capsys):
+    code, out, err = run(capsys, "moduli-dim", "P2", "--degree", "1,1,1", "--sample",
+                         "--bound", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: P2: coefficient bound -1 is negative\n"
+
+
 def test_glsm_solve_overflowing_fi(capsys, tmp_path):
     path = tmp_path / "glsm.json"
     path.write_text(json.dumps(dict(_GLSM, fi=["1e400"])))

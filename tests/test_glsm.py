@@ -200,6 +200,33 @@ def test_solver_without_charge_rows():
     assert rep.t == ()
 
 
+def test_solver_tests_the_gradient_after_its_last_step():
+    # converges in exactly 6 steps: max_iter=6 must report it, not IterationLimit
+    p = GLSMProblem(charges=IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0]]),
+                    fi=(Fraction(3, 2), Fraction(1, 2)), amplitudes=(1, Fraction(1, 4), 2, 1))
+    full = kempf_ness_solve(p)
+    assert full.status == "Converged" and full.iterations == 6
+    assert kempf_ness_solve(p, max_iter=6) == full
+    short = kempf_ness_solve(p, max_iter=5)
+    assert short.status == "IterationLimit" and short.iterations == 5
+    assert short.gradient_norm >= 1e-8
+    zero = kempf_ness_solve(p, max_iter=0)
+    assert (zero.status, zero.iterations, zero.gradient_norm) == ("IterationLimit", 0, 5.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_iter=-5), "max_iter must be nonnegative"),
+    (dict(tol=math.inf), "tol must be positive and finite"),
+    (dict(tol=math.nan), "tol must be positive and finite"),
+    (dict(tol=0.0), "tol must be positive and finite"),
+], ids=["negative-max-iter", "inf-tol", "nan-tol", "zero-tol"])
+def test_solver_rejects_bad_controls(p2, kwargs, message):
+    Q = charges_of(p2)
+    p = GLSMProblem(charges=Q, fi=(Q.at(0, 0),), amplitudes=(1, 1, 1))
+    with pytest.raises(ValueError, match=message):
+        kempf_ness_solve(p, **kwargs)
+
+
 def test_gradient_finite_difference(p1xp1, f1):
     rng = random.Random(91)
     checked = 0

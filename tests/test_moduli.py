@@ -72,6 +72,11 @@ def test_sample_budget_exhausted(p2):
         moduli.sample(p2, (1, 1, 1), seed=0, coeff_bound=0)
 
 
+def test_sample_rejects_negative_bound(p2):
+    with pytest.raises(ValueError, match="coefficient bound -1 is negative"):
+        moduli.sample(p2, (1, 1, 1), seed=0, coeff_bound=-1)
+
+
 def test_excluded_locus(p2):
     c = moduli.sample(p2, (1, 1, 1), seed=1, coeff_bound=4)
     assert not moduli.in_excluded_locus(c)
