@@ -28,6 +28,8 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def _emit(payload, args, text_renderer):

@@ -17,41 +17,40 @@ the nose, coefficient for coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import forms
+from ._record import Record
 from .delta import WeakDeltaCollection, admissible, is_nondegenerate
 from .fan import ValidationReport, is_complete, is_smooth, prime_divisors_nef
 from .forms import Mobius
 
 
-@dataclass(frozen=True)
-class Attachment:
-    point: tuple  # rational pair, not both zero
-    degree: tuple  # subtree total multidegree, admissible, nonnegative, nonzero
+class Attachment(Record):
+    __slots__ = (
+        "point",  # rational pair, not both zero
+        "degree",  # subtree total multidegree, admissible, nonnegative, nonzero
+    )
 
-    def __post_init__(self):
-        p = tuple(Fraction(x) for x in self.point)
+    def __init__(self, point, degree):
+        p = tuple(Fraction(x) for x in point)
         if len(p) != 2 or p == (0, 0):
             raise ValueError("attachment point must be a nonzero rational pair")
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "degree", tuple(int(x) for x in self.degree))
+        super().__init__(p, tuple(int(x) for x in degree))
 
 
-@dataclass(frozen=True)
-class GenusZeroStableMapData:
-    main: WeakDeltaCollection
-    attachments: tuple = ()
+class GenusZeroStableMapData(Record):
+    __slots__ = ("main", "attachments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "attachments", tuple(self.attachments))
+    def __init__(self, main, attachments=()):
+        super().__init__(main, tuple(attachments))
 
 
-@dataclass(frozen=True)
-class CollapseResult:
-    collection: WeakDeltaCollection
-    total_degree: tuple
+class CollapseResult(Record):
+    __slots__ = ("collection", "total_degree")
+
+    def __init__(self, collection, total_degree):
+        super().__init__(collection, total_degree)
 
 
 def _same_point(p, q):
@@ -112,7 +111,8 @@ def collapse(data: GenusZeroStableMapData) -> CollapseResult:
 
 
 def reparametrize_collection(c: WeakDeltaCollection, g: Mobius) -> WeakDeltaCollection:
-    return replace(c, sections=tuple(forms.substitute(u, g) for u in c.sections))
+    sections = tuple(forms.substitute(u, g) for u in c.sections)
+    return WeakDeltaCollection(c.fan, c.degree, sections, c.trivializations)
 
 
 def reparametrize_data(data: GenusZeroStableMapData, g: Mobius) -> GenusZeroStableMapData:

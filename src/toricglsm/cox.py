@@ -8,22 +8,28 @@ collections describing V(I) as a union of coordinate subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .fan import Fan, require_smooth_complete, require_valid
 from .lattice import IntMatrix, smith_normal_form
 
 _MAX_RAYS_FOR_COLLECTIONS = 16
 
 
-@dataclass(frozen=True)
-class CoxPresentation:
-    ray_matrix: IntMatrix  # |rays| x n, rows are the rays
-    charge_matrix: IntMatrix  # (|rays| - n) x |rays|
-    pic_rank: int
-    irrelevant_generators: tuple  # complement of each max cone, as index tuples
-    primitive_collections: tuple  # minimal index sets spanning no cone
+class CoxPresentation(Record):
+    __slots__ = (
+        "ray_matrix",  # |rays| x n, rows are the rays
+        "charge_matrix",  # (|rays| - n) x |rays|
+        "pic_rank",
+        "irrelevant_generators",  # complement of each max cone, as index tuples
+        "primitive_collections",  # minimal index sets spanning no cone
+    )
+
+    def __init__(self, ray_matrix, charge_matrix, pic_rank, irrelevant_generators,
+                 primitive_collections):
+        super().__init__(ray_matrix, charge_matrix, pic_rank, irrelevant_generators,
+                         primitive_collections)
 
 
 def minimal_transversals(n, edges):

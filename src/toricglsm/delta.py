@@ -17,10 +17,10 @@ if all g_sigma are zero every point is excluded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import forms
+from ._record import Record, setfield
 from .fan import Fan, require_valid
 from .forms import BinaryForm
 from .lattice import IntMatrix, smith_normal_form
@@ -37,23 +37,28 @@ def admissible(f: Fan, d) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class WeakDeltaCollection:
-    fan: Fan
-    degree: tuple  # d_rho per ray
-    sections: tuple  # BinaryForm per ray, deg u_rho = d_rho (zero form allowed)
-    trivializations: tuple = None  # nonzero rationals, one per lattice basis vector
+class WeakDeltaCollection(Record):
+    __slots__ = (
+        "fan",
+        "degree",  # d_rho per ray
+        "sections",  # BinaryForm per ray, deg u_rho = d_rho (zero form allowed)
+        "trivializations",  # nonzero rationals, one per lattice basis vector
+    )
+
+    def __init__(self, fan, degree, sections, trivializations=None):
+        super().__init__(fan, degree, sections, trivializations)
+        self.__post_init__()
 
     def __post_init__(self):
         require_valid(self.fan)
         degree = tuple(int(x) for x in self.degree)
-        object.__setattr__(self, "degree", degree)
+        setfield(self, "degree", degree)
         if len(degree) != self.fan.n_rays:
             raise ValueError("degree vector length mismatch")
         if not admissible(self.fan, degree):
             raise ValueError("inadmissible multidegree: sum d_rho n_rho != 0")
         sections = tuple(self.sections)
-        object.__setattr__(self, "sections", sections)
+        setfield(self, "sections", sections)
         if len(sections) != self.fan.n_rays:
             raise ValueError("section count mismatch")
         for i, (u, d) in enumerate(zip(sections, degree)):
@@ -65,17 +70,21 @@ class WeakDeltaCollection:
         if triv is None:
             triv = (Fraction(1),) * self.fan.dim
         triv = tuple(Fraction(t) for t in triv)
-        object.__setattr__(self, "trivializations", triv)
+        setfield(self, "trivializations", triv)
         if len(triv) != self.fan.dim:
             raise ValueError("one trivialization scalar per lattice basis vector")
         if any(t == 0 for t in triv):
             raise ValueError("trivialization scalars must be nonzero")
 
 
-@dataclass(frozen=True)
-class IsomorphismVerdict:
-    status: str  # "isomorphic_rational" | "isomorphic_over_closure" | "not_isomorphic"
-    witness: tuple = None  # scalar per ray, only for isomorphic_rational
+class IsomorphismVerdict(Record):
+    __slots__ = (
+        "status",  # "isomorphic_rational" | "isomorphic_over_closure" | "not_isomorphic"
+        "witness",  # scalar per ray, only for isomorphic_rational
+    )
+
+    def __init__(self, status, witness=None):
+        super().__init__(status, witness)
 
     @property
     def isomorphic(self):
@@ -143,9 +152,8 @@ def scale_sections(c: WeakDeltaCollection, lam) -> WeakDeltaCollection:
     lam = tuple(Fraction(x) for x in lam)
     if len(lam) != c.fan.n_rays or any(x == 0 for x in lam):
         raise ValueError("need one nonzero scalar per ray")
-    return replace(
-        c, sections=tuple(forms.scale(u, x) for u, x in zip(c.sections, lam))
-    )
+    sections = tuple(forms.scale(u, x) for u, x in zip(c.sections, lam))
+    return WeakDeltaCollection(c.fan, c.degree, sections, c.trivializations)
 
 
 def gauge_scalars(charge_matrix: IntMatrix, g):

@@ -22,44 +22,42 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ._record import Record, setfield
 from .lattice import IntMatrix, adjugate, rank, smith_normal_form
 from . import ratlp
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record, compare=("dim", "rays", "max_cones")):
     """Fan in Z^dim: primitive rays and maximal cones as ray-index tuples."""
 
-    dim: int
-    rays: tuple  # tuple of integer tuples
-    max_cones: tuple  # tuple of sorted index tuples
-    name: str = field(default="", compare=False)
+    # rays: tuple of integer tuples; max_cones: tuple of sorted index tuples
+    __slots__ = ("dim", "rays", "max_cones", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(c) for c in r) for r in self.rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
-        )
+    def __init__(self, dim, rays, max_cones, name=""):
+        setfield(self, "dim", dim)
+        setfield(self, "rays", tuple(tuple(int(c) for c in r) for r in rays))
+        setfield(self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in max_cones))
+        setfield(self, "name", name)
 
     @property
     def n_rays(self):
         return len(self.rays)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple
+class ValidationReport(Record):
+    __slots__ = ("issues",)
+
+    def __init__(self, issues):
+        super().__init__(issues)
 
     @property
     def ok(self):
         return not self.issues
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     """Codimension-1 cone shared by two maximal cones, with its curve relation.
 
     `relation` is the unique integer vector r over all rays with
@@ -68,10 +66,13 @@ class Wall:
     pair.  Entry rho equals deg O(D_rho) restricted to the wall curve.
     """
 
-    wall_rays: tuple
-    left_cone: int
-    right_cone: int
-    relation: tuple
+    __slots__ = ("wall_rays", "left_cone", "right_cone", "relation")
+
+    def __init__(self, wall_rays, left_cone, right_cone, relation):
+        setfield(self, "wall_rays", wall_rays)
+        setfield(self, "left_cone", left_cone)
+        setfield(self, "right_cone", right_cone)
+        setfield(self, "relation", relation)
 
 
 def validate_fan(f: Fan) -> ValidationReport:

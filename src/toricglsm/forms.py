@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record, setfield
 
 
 class FormSyntaxError(ValueError):
@@ -23,19 +24,18 @@ class FormSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    degree: int
-    coefficients: tuple  # Fractions c_0..c_d, c_k multiplying z0^(d-k) z1^k
+class BinaryForm(Record):
+    # coefficients: Fractions c_0..c_d, c_k multiplying z0^(d-k) z1^k
+    __slots__ = ("degree", "coefficients")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree, coefficients):
+        if degree < 0:
             raise ValueError("negative degree")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-        if len(self.coefficients) != self.degree + 1:
+        coefficients = tuple(Fraction(c) for c in coefficients)
+        if len(coefficients) != degree + 1:
             raise ValueError("coefficient count must be degree + 1")
+        setfield(self, "degree", degree)
+        setfield(self, "coefficients", coefficients)
 
     @staticmethod
     def zero(degree=0):
@@ -53,18 +53,13 @@ class BinaryForm:
         return format_form(self)
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """Invertible 2x2 rational matrix acting on (z0, z1)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a, b, c, d):
+        super().__init__(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
         if self.det == 0:
             raise ValueError("singular Mobius matrix")
 

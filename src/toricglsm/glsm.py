@@ -31,11 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ratlp
+from ._record import Record
 from .cox import CoxPresentation, minimal_transversals
 from .fan import Fan, walls
 from .lattice import IntMatrix, pivot_columns, solve_rational
@@ -51,39 +51,44 @@ _RESOLUTION = 1e-12  # a decrease below this share of |f| is rounding noise
 _FLOOR = 128 * sys.float_info.epsilon  # gradient noise per unit of its largest term
 
 
-@dataclass(frozen=True)
-class GLSMProblem:
+class GLSMProblem(Record):
     """Charges (k x r, column i = charge vector of field i), FI parameters,
     and squared field amplitudes s_i = |phi_i|^2 >= 0."""
 
-    charges: IntMatrix
-    fi: tuple  # rationals, length k
-    amplitudes: tuple  # nonnegative rationals, length r
+    __slots__ = (
+        "charges",
+        "fi",  # rationals, length k
+        "amplitudes",  # nonnegative rationals, length r
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "fi", tuple(Fraction(x) for x in self.fi))
-        object.__setattr__(
-            self, "amplitudes", tuple(Fraction(x) for x in self.amplitudes)
-        )
-        if len(self.fi) != self.charges.rows:
+    def __init__(self, charges, fi, amplitudes):
+        fi = tuple(Fraction(x) for x in fi)
+        amplitudes = tuple(Fraction(x) for x in amplitudes)
+        if len(fi) != charges.rows:
             raise ValueError("FI vector length must equal charge-matrix rows")
-        if len(self.amplitudes) != self.charges.cols:
+        if len(amplitudes) != charges.cols:
             raise ValueError("amplitude vector length must equal charge-matrix cols")
-        if any(s < 0 for s in self.amplitudes):
+        if any(s < 0 for s in amplitudes):
             raise ValueError("squared amplitudes must be nonnegative")
+        super().__init__(charges, fi, amplitudes)
 
     @property
     def support(self):
         return tuple(i for i, s in enumerate(self.amplitudes) if s > 0)
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    status: str  # "Converged" | "Unstable" | "IterationLimit"
-    t: tuple = None  # minimizer, on Converged
-    gradient_norm: float = float("nan")
-    iterations: int = 0
-    recession_direction: tuple = None  # exact certificate, on Unstable
+class SolveReport(Record):
+    __slots__ = (
+        "status",  # "Converged" | "Unstable" | "IterationLimit"
+        "t",  # minimizer, on Converged
+        "gradient_norm",
+        "iterations",
+        "recession_direction",  # exact certificate, on Unstable
+    )
+
+    def __init__(self, status, t=None, gradient_norm=float("nan"), iterations=0,
+                 recession_direction=None):
+        super().__init__(status, t, gradient_norm, iterations, recession_direction)
 
 
 def moment_map(p: GLSMProblem):

@@ -8,28 +8,28 @@ arbitrary-precision ints, so concurrent callers need no synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 
-@dataclass(frozen=True)
-class IntMatrix:
+
+class IntMatrix(Record):
     """Dense integer matrix, row-major entries."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                "entry count %d does not match %dx%d"
-                % (len(self.entries), self.rows, self.cols)
+                "entry count %d does not match %dx%d" % (len(entries), rows, cols)
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(isinstance(e, int) for e in entries):
             raise TypeError("entries must be ints")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows):
@@ -121,13 +121,13 @@ def adjugate(A: IntMatrix):
     return sign * d, IntMatrix(n, n, tuple(sign * x for row in a for x in row[n:]))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ..."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U, D, V):
+        super().__init__(U, D, V)
 
     def diagonal(self):
         return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))

@@ -10,9 +10,9 @@ summary docstring of the CLI output).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .delta import WeakDeltaCollection, admissible, is_nonvanishing
 from .fan import Fan
 from .forms import BinaryForm
@@ -20,12 +20,16 @@ from .forms import BinaryForm
 _REJECTION_BUDGET = 1000
 
 
-@dataclass(frozen=True)
-class ModuliSummary:
-    degree: tuple
-    y_dim: int  # dim of the section space, sum(d_rho + 1)
-    g_dim: int  # dim of the gauge torus = Picard rank
-    w_dim: int  # naive orbit-space dimension y_dim - g_dim
+class ModuliSummary(Record):
+    __slots__ = (
+        "degree",
+        "y_dim",  # dim of the section space, sum(d_rho + 1)
+        "g_dim",  # dim of the gauge torus = Picard rank
+        "w_dim",  # naive orbit-space dimension y_dim - g_dim
+    )
+
+    def __init__(self, degree, y_dim, g_dim, w_dim):
+        super().__init__(degree, y_dim, g_dim, w_dim)
 
 
 def summarize(f: Fan, d) -> ModuliSummary:

@@ -120,6 +120,17 @@ def test_malformed_json_is_domain_error(capsys, tmp_path):
     assert code == 1 and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "cmd", ["fan-check", "cox", "delta-check", "collapse", "glsm-solve", "glsm-phase"]
+)
+def test_deeply_nested_json_is_domain_error(capsys, tmp_path, cmd):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -298,6 +309,21 @@ def test_glsm_runs_without_numpy(tmp_path):
     rep = kempf_ness_solve(jsonio.glsm_from_dict(_GLSM))
     assert rep.status == "Converged"
     assert all(type(x) is float for x in rep.t)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import toricglsm.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(toricglsm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_fan_json_roundtrip(tmp_path, golden_fans):
