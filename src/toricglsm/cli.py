@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 bad input data, 2 usage error.  Every bad input,
 unreadable file or unwritable output is reported by `main` alone, as one
 `error: <source>: <message>` line on stderr with stdout left empty.
-JSON output has sorted keys so identical inputs give identical bytes.
+JSON output is strict, with sorted keys: identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import cox as cox_mod
@@ -34,7 +35,7 @@ def _load_json(path):
 
 def _emit(payload, args, text_renderer):
     if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         out = text_renderer(payload)
     if args.output:
@@ -198,7 +199,7 @@ def cmd_glsm_solve(args):
     payload = {
         "status": report.status,
         "t": list(report.t) if report.t is not None else None,
-        "gradient_norm": report.gradient_norm,
+        "gradient_norm": report.gradient_norm if math.isfinite(report.gradient_norm) else None,
         "iterations": report.iterations,
         "recession_direction": (
             list(report.recession_direction)

@@ -2,8 +2,8 @@
 
 From a fan this computes the charge matrix (a kernel basis of the ray
 matrix's transpose, arranged as rows), the Picard rank, the irrelevant
-ideal's monomial generators (as ray-index supports), and the primitive
-collections describing V(I) as a union of coordinate subspaces.
+ideal's monomial generators (as ray-index supports), the primitive
+collections describing V(I), and the one test of membership in V(I).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .fan import Fan, require_smooth_complete, require_valid
+from .fan import FAN_CACHE_SIZE, Fan, require_smooth_complete, require_valid
 from .lattice import IntMatrix, smith_normal_form
 
 _MAX_RAYS_FOR_COLLECTIONS = 16
@@ -57,7 +57,7 @@ def _cone_complements(f: Fan):
     return tuple(tuple(i for i in range(f.n_rays) if i not in c) for c in f.max_cones)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def primitive_collections(f: Fan):
     """Minimal ray-index sets contained in no cone of the fan.
 
@@ -73,7 +73,7 @@ def primitive_collections(f: Fan):
     return tuple(minimal_transversals(f.n_rays, _cone_complements(f)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def cox_presentation(f: Fan) -> CoxPresentation:
     """X = (C^rays - V(I)) / G, presented by exact integer data."""
     collections = primitive_collections(f)  # checks the ray cap, validates
@@ -102,11 +102,9 @@ def cox_presentation(f: Fan) -> CoxPresentation:
     )
 
 
-def outside_irrelevant_locus(pres: CoxPresentation, zero_set) -> bool:
-    """True iff a point vanishing exactly on `zero_set` avoids V(I).
-
-    Equivalent formulations: some maximal cone's complement misses the
-    zero set, i.e. the zero set contains no primitive collection.
-    """
+def outside_irrelevant_locus(f: Fan, zero_set) -> bool:
+    """True iff a point vanishing exactly on `zero_set` (ray indices) avoids
+    V(I): the zero set lies in some maximal cone, so it contains no primitive
+    collection.  Reads only the maximal cones: any fan, no ray cap."""
     zs = set(zero_set)
-    return any(zs.isdisjoint(gen) for gen in pres.irrelevant_generators)
+    return any(zs.issubset(cone) for cone in f.max_cones)

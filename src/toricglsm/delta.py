@@ -7,12 +7,12 @@ lattice.  All scalars are rational: when only root extraction over Q
 obstructs an isomorphism witness, the verdict says so explicitly instead
 of pretending the collections differ.
 
-Degeneracy decisions reduce to exact form GCDs.  With the convention
-gcd(0, h) = h, nondegeneracy is a single gcd over the per-cone products
-g_sigma = prod_{rho outside sigma} u_rho: a point lands in the excluded
-locus V(I) exactly when every g_sigma vanishes there, i.e. when the gcd of
-the nonzero g_sigma vanishes there (a zero g_sigma rules out no point, and
-if all g_sigma are zero every point is excluded).
+A point of the source lands in the excluded locus V(I) exactly when the
+sections vanishing there contain a primitive collection.  So a collection
+is nondegenerate when, on every primitive collection, the sections are not
+all zero and have a constant gcd: gcds of the input forms, no products.
+The base divisor, which needs multiplicities, is the gcd of the nonzero
+per-cone products g_sigma = prod_{rho outside sigma} u_rho.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import forms
 from ._record import Record, setfield
+from .cox import _MAX_RAYS_FOR_COLLECTIONS, outside_irrelevant_locus, primitive_collections
 from .fan import Fan, require_valid
 from .forms import BinaryForm
 from .lattice import IntMatrix, smith_normal_form
@@ -91,41 +92,37 @@ class IsomorphismVerdict(Record):
         return self.status != "not_isomorphic"
 
 
-def cone_products(c: WeakDeltaCollection):
-    """g_sigma = prod of sections over rays outside each maximal cone."""
-    out = []
-    for cone in c.fan.max_cones:
-        inside = set(cone)
-        g = BinaryForm.one()
-        for i in range(c.fan.n_rays):
-            if i not in inside:
-                g = forms.mul(g, c.sections[i])
-        out.append(g)
-    return out
-
-
 def is_nonvanishing(c: WeakDeltaCollection) -> bool:
-    """Some g_sigma is not the zero form (on an irreducible source a
-    product vanishes identically iff a factor does)."""
-    for cone in c.fan.max_cones:
-        inside = set(cone)
-        if all(
-            not c.sections[i].is_zero for i in range(c.fan.n_rays) if i not in inside
-        ):
-            return True
-    return False
+    """The zero sections span a cone, so generic points avoid V(I)."""
+    return outside_irrelevant_locus(c.fan, {i for i, u in enumerate(c.sections) if u.is_zero})
 
 
 def base_divisor(c: WeakDeltaCollection) -> BinaryForm:
-    """Monic gcd of the nonzero g_sigma: its projective roots are exactly
-    the points mapped into the excluded locus."""
+    """Monic gcd of the nonzero g_sigma over the maximal cones: its
+    projective roots, with multiplicity, are the points mapped into the
+    excluded locus."""
     if not is_nonvanishing(c):
         raise ValueError("collection vanishes: no well-defined base divisor")
-    return forms.gcd(cone_products(c))
+    products = []
+    for cone in c.fan.max_cones:
+        g = BinaryForm.one()
+        for i, u in enumerate(c.sections):
+            if i not in cone:
+                g = forms.mul(g, u)
+        products.append(g)
+    return forms.gcd(products)
 
 
 def is_nondegenerate(c: WeakDeltaCollection) -> bool:
-    return is_nonvanishing(c) and base_divisor(c).degree == 0
+    """No point maps into V(I): on each primitive collection the sections are
+    not all zero and share no root (above its ray cap, the base divisor decides)."""
+    if c.fan.n_rays > _MAX_RAYS_FOR_COLLECTIONS:
+        return is_nonvanishing(c) and base_divisor(c).degree == 0
+    for p in primitive_collections(c.fan):
+        nonzero = [c.sections[i] for i in p if not c.sections[i].is_zero]
+        if not nonzero or forms.gcd(nonzero).degree > 0:
+            return False
+    return True
 
 
 def pullback(c: WeakDeltaCollection, cover) -> WeakDeltaCollection:

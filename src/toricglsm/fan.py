@@ -28,6 +28,8 @@ from ._record import Record, setfield
 from .lattice import IntMatrix, adjugate, rank, smith_normal_form
 from . import ratlp
 
+FAN_CACHE_SIZE = 256  # bounds every per-fan cache (fan, cox, glsm): memory stays flat
+
 
 class Fan(Record, compare=("dim", "rays", "max_cones")):
     """Fan in Z^dim: primitive rays and maximal cones as ray-index tuples."""
@@ -78,12 +80,12 @@ class Wall(Record):
 def validate_fan(f: Fan) -> ValidationReport:
     """Check the Fan invariants; returns a report rather than raising.
 
-    The report is computed once per distinct fan and then cached.
+    The report is cached per fan, for the `FAN_CACHE_SIZE` most recent fans.
     """
     return _validate(f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _validate(f: Fan) -> ValidationReport:
     """Issues per ray, then per cone, then per pair of maximal cones.
 
@@ -140,7 +142,7 @@ def _validate(f: Fan) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _inverses(f: Fan):
     """`adjugate` of the matrix whose columns are the (sorted) rays of each
     full-dimensional maximal cone with distinct indices in range, so that
@@ -254,7 +256,7 @@ def require_valid(f: Fan):
         raise ValueError("invalid fan: " + "; ".join(rep.issues))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def is_smooth(f: Fan) -> bool:
     """True iff every maximal cone's generators extend to a Z-basis."""
     require_valid(f)
@@ -278,7 +280,7 @@ def _facet_map(f: Fan):
     return facets
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def is_complete(f: Fan) -> bool:
     """Exact completeness: the fan is valid, every maximal cone is
     full-dimensional and every facet lies in exactly two maximal cones.
@@ -306,7 +308,7 @@ def require_smooth_complete(f: Fan):
         raise ValueError("fan is not complete")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def walls(f: Fan):
     """All walls of a smooth complete fan, with their curve relations."""
     require_smooth_complete(f)

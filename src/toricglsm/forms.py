@@ -47,7 +47,7 @@ class BinaryForm(Record):
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coefficients)
+        return not any(self.coefficients)
 
     def __str__(self):
         return format_form(self)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from . import ratlp
 from ._record import Record
 from .cox import CoxPresentation, minimal_transversals
-from .fan import Fan, walls
+from .fan import FAN_CACHE_SIZE, Fan, walls
 from .lattice import IntMatrix, pivot_columns, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
@@ -263,7 +263,7 @@ def _curve_class(pres: CoxPresentation, d):
     return tuple(int(x) for x in c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _wall_classes(f: Fan, pres: CoxPresentation):
     """The distinct classes c_w of the wall curves, Q^T c_w = relation."""
     return frozenset(_curve_class(pres, w.relation) for w in walls(f))

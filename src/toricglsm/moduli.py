@@ -32,12 +32,17 @@ class ModuliSummary(Record):
         super().__init__(degree, y_dim, g_dim, w_dim)
 
 
-def summarize(f: Fan, d) -> ModuliSummary:
+def _checked_degree(f: Fan, d):
     d = tuple(int(x) for x in d)
     if not admissible(f, d):
         raise ValueError("inadmissible multidegree")
     if any(x < 0 for x in d):
         raise ValueError("negative multidegree entry")
+    return d
+
+
+def summarize(f: Fan, d) -> ModuliSummary:
+    d = _checked_degree(f, d)
     y_dim = sum(x + 1 for x in d)
     g_dim = f.n_rays - f.dim
     return ModuliSummary(degree=d, y_dim=y_dim, g_dim=g_dim, w_dim=y_dim - g_dim)
@@ -52,11 +57,7 @@ def in_excluded_locus(c: WeakDeltaCollection) -> bool:
 def sample(f: Fan, d, seed, coeff_bound) -> WeakDeltaCollection:
     """Seeded random point of Y_d - F_d with integer coefficients in
     [-coeff_bound, coeff_bound], rejection-resampled until nonvanishing."""
-    d = tuple(int(x) for x in d)
-    if not admissible(f, d):
-        raise ValueError("inadmissible multidegree")
-    if any(x < 0 for x in d):
-        raise ValueError("negative multidegree entry")
+    d = _checked_degree(f, d)
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
     rng = random.Random(seed)

@@ -157,7 +157,7 @@ def test_criterion_3_nondegeneracy_decision():
                     i for i, u in enumerate(c.sections)
                     if u.is_zero or forms.evaluate(u, p) == 0
                 }
-                if not outside_irrelevant_locus(pres, zs):
+                if not outside_irrelevant_locus(fan, zs):
                     eval_contradictions += 1
     ok = planted_found == 200 and eval_contradictions == 0
     _report(

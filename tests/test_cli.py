@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import toricglsm
-from toricglsm import jsonio
+from toricglsm import cli, jsonio
 from toricglsm.cli import main
 from toricglsm.fan import Fan
-from toricglsm.glsm import kempf_ness_solve
+from toricglsm.glsm import SolveReport, kempf_ness_solve
 
 
 def run(capsys, *argv):
@@ -270,9 +270,48 @@ def test_glsm_solve_certificate_bytes(capsys, tmp_path, problem, direction):
     code, out, _ = run(capsys, "glsm-solve", str(path))
     assert code == 0
     assert out == (
-        '{\n  "gradient_norm": NaN,\n  "iterations": 0,\n  "recession_direction": [\n    '
+        '{\n  "gradient_norm": null,\n  "iterations": 0,\n  "recession_direction": [\n    '
         + direction + '\n  ],\n  "status": "Unstable",\n  "t": null\n}\n'
     )
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize(
+    "problem, flags",
+    [
+        ({"charges": [[1, 1, 1]], "fi": ["1"], "amplitudes": ["1", "1", "1"]}, ["--tol", "1e-10"]),
+        ({"charges": [[1, 1, 1]], "fi": ["-1"], "amplitudes": ["1", "1", "1"]}, []),
+        ({"charges": [[1, 0, 1, 2], [0, 1, 0, 1]], "fi": ["-5", "3/2"],
+          "amplitudes": ["1", "1", "1", "1"]}, []),
+        ({"charges": [[2, -1, 1], [1, 3, -2]], "fi": ["-7/3", "5"],
+          "amplitudes": ["1", "1/2", "2"]}, []),
+        ({"charges": [], "fi": [], "amplitudes": []}, []),
+        ({"charges": [[300]], "fi": ["300000000"], "amplitudes": ["1"]}, []),
+        ({"charges": [[300]], "fi": ["300000000"], "amplitudes": ["1"]}, ["--max-iter", "1"]),
+    ],
+    ids=["converged", "unstable", "F2-unstable", "mixed-sign-unstable", "no-charges",
+         "overflowing-exponent", "iteration-limit"],
+)
+def test_glsm_solve_prints_strict_json(capsys, tmp_path, problem, flags):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(capsys, "glsm-solve", str(path), *flags)
+    assert code == 0
+    json.loads(out, parse_constant=_no_constant)
+
+
+def test_glsm_solve_infinite_gradient_prints_null(capsys, tmp_path, monkeypatch):
+    # an IterationLimit report after an overflow may carry an infinite norm
+    report = SolveReport(status="IterationLimit", gradient_norm=float("inf"), iterations=3)
+    monkeypatch.setattr(cli.glsm_mod, "kempf_ness_solve", lambda *a, **k: report)
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(_GLSM))
+    code, out, _ = run(capsys, "glsm-solve", str(path))
+    assert code == 0
+    assert json.loads(out, parse_constant=_no_constant)["gradient_norm"] is None
 
 
 def test_glsm_solve_without_charge_rows(capsys, tmp_path):
@@ -511,8 +550,7 @@ def test_glsm_solve_overflowing_fi(capsys, tmp_path):
 
 
 def test_cox_ray_cap_before_validation(capsys):
-    # P40 has 41 rays: the 16-ray cap must refuse it before the O(cones^2)
-    # validation starts
+    # P40 has 41 rays: the 16-ray cap must refuse it before the fan is validated
     code, out, err = run(capsys, "cox", "P40")
     assert code == 1 and out == ""
     assert "limited to 16 rays" in err

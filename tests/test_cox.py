@@ -69,9 +69,9 @@ def test_primitive_collections_references(p1xp1, f1):
 
 def test_outside_irrelevant_locus_p2(p2):
     pres = cox_presentation(p2)
-    assert outside_irrelevant_locus(pres, {0, 1})
-    assert not outside_irrelevant_locus(pres, {0, 1, 2})
-    assert outside_irrelevant_locus(pres, set())
+    assert outside_irrelevant_locus(p2, {0, 1})
+    assert not outside_irrelevant_locus(p2, {0, 1, 2})
+    assert outside_irrelevant_locus(p2, set())
 
 
 def test_outside_iff_no_primitive_collection(golden_fans):
@@ -84,7 +84,7 @@ def test_outside_iff_no_primitive_collection(golden_fans):
         for size in range(f.n_rays + 1):
             for zs in itertools.combinations(range(f.n_rays), size):
                 expect = not any(p <= set(zs) for p in pcs)
-                assert outside_irrelevant_locus(pres, set(zs)) == expect
+                assert outside_irrelevant_locus(f, set(zs)) == expect
 
 
 def test_presentation_requires_complete():

@@ -1,10 +1,14 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from toricglsm import delta, forms, moduli
-from toricglsm.cox import cox_presentation, outside_irrelevant_locus
+from toricglsm import catalog, delta, forms, jsonio, moduli
+from toricglsm.cli import main
+from toricglsm.cox import cox_presentation, outside_irrelevant_locus, primitive_collections
+from toricglsm.fan import Fan
 from toricglsm.delta import (
     WeakDeltaCollection,
     admissible,
@@ -137,7 +141,7 @@ def test_base_divisor_roots_hit_irrelevant_locus(p2, p1xp1):
                         i for i, u in enumerate(c.sections)
                         if u.is_zero or forms.evaluate(u, point) == 0
                     }
-                    assert not outside_irrelevant_locus(pres, zs)
+                    assert not outside_irrelevant_locus(fan, zs)
             # rational points off the base divisor stay outside V(I)
             for _ in range(10):
                 point = (rng.randint(-5, 5), rng.randint(-5, 5))
@@ -147,7 +151,7 @@ def test_base_divisor_roots_hit_irrelevant_locus(p2, p1xp1):
                     i for i, u in enumerate(c.sections)
                     if u.is_zero or forms.evaluate(u, point) == 0
                 }
-                assert outside_irrelevant_locus(pres, zs)
+                assert outside_irrelevant_locus(fan, zs)
 
 
 def test_pullback_examples(p2):
@@ -286,3 +290,86 @@ def test_excluded_locus_bridge(p2, p1xp1):
             d = _random_admissible_degree(rng, fan)
             c = _random_collection(rng, fan, d, allow_zero=True)
             assert moduli.in_excluded_locus(c) == (not is_nonvanishing(c))
+
+
+def _product(f, g):
+    rays = [r + (0,) * g.dim for r in f.rays] + [(0,) * f.dim + r for r in g.rays]
+    cones = [a + tuple(f.n_rays + i for i in b) for a in f.max_cones for b in g.max_cones]
+    return Fan(dim=f.dim + g.dim, rays=tuple(rays), max_cones=tuple(cones))
+
+
+# dP7: its five primitive collections {0,2}, {0,3}, {1,3}, {1,4}, {2,4} overlap
+_PENTAGON = Fan(2, ((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)),
+                ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+
+
+def _comparison_fans():
+    p1, p2 = catalog.by_name("P1"), catalog.by_name("P2")
+    return [catalog.by_name(n) for n in catalog.GOLDEN_NAMES] + [
+        _product(p2, p2), _product(_product(p1, p1), p2), _PENTAGON]
+
+
+def _seeded_collections(rng, fan, count):
+    """Collections whose sections are zero, random, or products of linear
+    forms at points of a small pool; in half of them every nonzero product
+    has the root p0, a planted shared root."""
+    degrees = [d for d in itertools.product(range(3), repeat=fan.n_rays)
+               if any(d) and admissible(fan, d)]
+    pool = [(1, 0), (0, 1), (1, 1), (2, -1)]
+    out = []
+    for _ in range(count):
+        planted = rng.random() < 0.5
+        p0 = rng.choice(pool)
+        sections = []
+        for deg in rng.choice(degrees):
+            kind = rng.random()
+            if kind < 0.15:
+                u = BinaryForm.zero(deg)
+            elif planted or kind < 0.6:
+                u = BinaryForm(0, (Fraction(rng.choice((1, -2, 3))),))
+                for k in range(deg):
+                    u = forms.mul(u, forms.linear_form_at(p0 if planted and k == 0 else rng.choice(pool)))
+            else:
+                u = BinaryForm(deg, tuple(Fraction(rng.randint(-3, 3)) for _ in range(deg + 1)))
+            sections.append(u)
+        out.append(WeakDeltaCollection(fan, tuple(u.degree for u in sections), tuple(sections)))
+    return out
+
+
+def _p16_collections():
+    """P16 has 17 rays, one more than the primitive-collection search takes."""
+    p16 = catalog.projective_space(16)
+    distinct = tuple(forms.linear_form_at((i, 1)) for i in range(17))
+    shared = tuple(forms.scale(forms.linear_form_at((1, 1)), i + 1) for i in range(17))
+    return [WeakDeltaCollection(p16, (1,) * 17, u) for u in (distinct, shared)]
+
+
+def test_nondegenerate_matches_cone_product_route():
+    rng = random.Random(25)
+    for fan in _comparison_fans():
+        answers = []
+        for c in _seeded_collections(rng, fan, 60):
+            want = is_nonvanishing(c) and base_divisor(c).degree == 0
+            assert is_nondegenerate(c) == want
+            answers.append(want)
+        assert True in answers and False in answers, fan
+
+
+def test_nondegenerate_above_the_primitive_collection_cap():
+    distinct, shared = _p16_collections()
+    with pytest.raises(ValueError, match="limited to 16 rays"):
+        primitive_collections(distinct.fan)
+    assert is_nondegenerate(distinct)
+    assert not is_nondegenerate(shared)
+
+
+def test_cli_delta_check_nondegenerate_matches(capsys, tmp_path):
+    rng = random.Random(26)
+    path = tmp_path / "collection.json"
+    inputs = [c for fan in _comparison_fans() for c in _seeded_collections(rng, fan, 15)]
+    for c in inputs + _p16_collections():
+        path.write_text(json.dumps(jsonio.collection_to_dict(c)))
+        assert main(["delta-check", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert bool(payload["nondegenerate"]) == is_nondegenerate(c)
+        assert (payload["nondegenerate"] is None) == (not payload["nonvanishing"])

@@ -1,5 +1,6 @@
 import pytest
 
+from toricglsm import cox, fan, glsm
 from toricglsm.fan import (
     Fan,
     is_complete,
@@ -122,3 +123,22 @@ def test_walls_require_smooth_complete():
     affine = Fan(dim=2, rays=((1, 0), (0, 1)), max_cones=((0, 1),))
     with pytest.raises(ValueError):
         walls(affine)
+
+
+def test_per_fan_caches_stay_bounded():
+    cached = (fan._validate, fan._inverses, fan.is_smooth, fan.is_complete, fan.walls,
+              cox.primitive_collections, cox.cox_presentation, glsm._wall_classes)
+    p2 = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
+    # 1,000 distinct GL(2, Z) images of P2, by the shears (x, y) -> (x + k y, y)
+    for k in range(1000):
+        image = Fan(2, tuple((x + k * y, y) for x, y in p2.rays), p2.max_cones)
+        assert len(walls(image)) == 3
+        pres = cox.cox_presentation(image)
+        assert glsm.kahler_cone_contains(image, pres, (1,)) != glsm.kahler_cone_contains(
+            image, pres, (-1,))
+        if k % 100 == 99:
+            assert all(f.cache_info().currsize <= fan.FAN_CACHE_SIZE for f in cached)
+    # the most recent fan is still cached
+    hits = walls.cache_info().hits
+    walls(image)
+    assert walls.cache_info().hits == hits + 1
