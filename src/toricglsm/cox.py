@@ -80,23 +80,16 @@ def cox_presentation(f: Fan) -> CoxPresentation:
     require_smooth_complete(f)
 
     B = IntMatrix.from_rows(list(f.rays))
-    # one SNF of B^T: its diagonal (the invariant factors of B) shows the
-    # torsion, and V's columns past the rank are a basis of ker B^T
+    # a smooth complete fan has a unimodular maximal cone, so its rays span
+    # Z^dim: B^T's SNF diagonal is all ones (no torsion), and V's columns past
+    # the rank are a basis of ker B^T, |rays| - dim of them
     snf = smith_normal_form(B.transpose())
-    torsion = tuple(d for d in snf.diagonal() if d not in (0, 1))
-    if torsion:
-        raise ValueError(
-            f"divisor class group has torsion {torsion}; presentation refused"
-        )
     kernel = [snf.V.column(j) for j in range(snf.rank(), f.n_rays)]
     Q = IntMatrix.from_rows(kernel) if kernel else IntMatrix.zero(0, f.n_rays)
-    pic_rank = f.n_rays - f.dim
-    if Q.rows != pic_rank:
-        raise ValueError("charge matrix rank does not match |rays| - dim")
     return CoxPresentation(
         ray_matrix=B,
         charge_matrix=Q,
-        pic_rank=pic_rank,
+        pic_rank=f.n_rays - f.dim,
         irrelevant_generators=_cone_complements(f),
         primitive_collections=collections,
     )

@@ -38,7 +38,7 @@ from . import ratlp
 from ._record import Record
 from .cox import CoxPresentation, minimal_transversals
 from .fan import FAN_CACHE_SIZE, Fan, walls
-from .lattice import IntMatrix, pivot_columns, solve_rational
+from .lattice import IntMatrix, _integer_row, _step, pivot_columns, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -64,8 +64,7 @@ class GLSMProblem(Record):
     def __init__(self, charges, fi, amplitudes):
         fi = tuple(Fraction(x) for x in fi)
         amplitudes = tuple(Fraction(x) for x in amplitudes)
-        if len(fi) != charges.rows:
-            raise ValueError("FI vector length must equal charge-matrix rows")
+        _check_fi(charges, fi)
         if len(amplitudes) != charges.cols:
             raise ValueError("amplitude vector length must equal charge-matrix cols")
         if any(s < 0 for s in amplitudes):
@@ -102,6 +101,7 @@ def moment_map(p: GLSMProblem):
 
 def semistable(charges: IntMatrix, support, fi) -> str:
     """Exact position of the FI vector relative to cone{q_i : i in support}."""
+    _check_fi(charges, fi)
     support = sorted(set(support))
     if any(i < 0 or i >= charges.cols for i in support):
         raise ValueError("support index out of range")
@@ -206,18 +206,44 @@ def unstable_supports(charges: IntMatrix, fi):
     By conic Caratheodory a support is semistable iff it contains a stable
     basis B: linearly independent charges, at most rows(Q), with FI in
     their cone.  So these are the minimal transversals of the stable bases.
+
+    The bases are found by a depth-first walk over the independent charge
+    sets in increasing column order, on the integer rows of [Q | b], where b
+    is FI times the lcm of its denominators (same rank, consistency and
+    signs).  A child B + (j,) costs one Bareiss pivot (`_step`) on the first
+    nonzero of column j in the rows below |B|.  When there is none, q_j
+    depends on B and on every superset of it, so the branch is pruned.  A
+    node B of size s is a stable basis when the b entries of rows s.. are
+    zero (Q_B x = b is consistent) and b_i * d >= 0 on rows ..s, d being
+    the last pivot: every pivot ends equal to d, so x = b_i / d.
     """
-    r = charges.cols
+    k, r = charges.rows, charges.cols
     if r > _MAX_FIELDS:
         raise ValueError(f"field count {r} exceeds limit {_MAX_FIELDS}")
-    rows = charges.to_rows()
+    _check_fi(charges, fi)
     bases = []
-    for size in range(min(charges.rows, r) + 1):
-        for basis in itertools.combinations(range(r), size):
-            rank, x = solve_rational([[row[i] for i in basis] for row in rows], fi)
-            if rank == size and x is not None and all(c >= 0 for c in x):
-                bases.append(basis)
+
+    def walk(a, basis, d):
+        s = len(basis)
+        if not any(row[r] for row in a[s:]) and all(row[r] * d >= 0 for row in a[:s]):
+            bases.append(basis)
+        if s == k:
+            return
+        for j in range(basis[-1] + 1 if basis else 0, r):
+            piv = next((i for i in range(s, k) if a[i][j]), None)
+            if piv is None:
+                continue
+            c = a[:]
+            c[s], c[piv] = c[piv], c[s]
+            walk(c, basis + (j,), _step(c, s, j, d))
+
+    walk([[*row, c] for row, c in zip(charges.to_rows(), _integer_row(fi))], (), 1)
     return minimal_transversals(r, bases)
+
+
+def _check_fi(charges: IntMatrix, fi):
+    if len(fi) != charges.rows:
+        raise ValueError("FI vector length must equal charge-matrix rows")
 
 
 def _floats(values):

@@ -87,14 +87,22 @@ def _eliminate(a, ncols):
             continue
         if piv != r:
             a[r], a[piv], sign = a[piv], a[r], -sign
-        row, p = a[r], a[r][k]
-        for i in range(len(a)):
-            f = a[i][k]
-            if i != r and (f or p != prev):
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
-        prev = p
+        prev = _step(a, r, k, prev)
         pivots.append(k)
     return pivots, prev, sign
+
+
+def _step(a, r, k, prev):
+    """One Bareiss pivot on a[r][k], prev being the previous pivot (1 at the
+    start): every other row i becomes (p * a[i] - a[i][k] * a[r]) / prev,
+    exactly.  Rows are replaced, never mutated, so a copy of the list `a`
+    keeps its parent's rows.  Returns the new pivot p = a[r][k]."""
+    row, p = a[r], a[r][k]
+    for i in range(len(a)):
+        f = a[i][k]
+        if i != r and (f or p != prev):
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+    return p
 
 
 def _integer_row(row):

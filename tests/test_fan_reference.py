@@ -1,9 +1,10 @@
 """Fan validation and completeness, checked against the per-ray
 2n-variable intersection LPs and the Monte Carlo completeness test they
 replaced, on built-in fans, products and seeded broken variants; the
-local validity test against the pairwise LPs it skips; and the wall
+local validity test against the pairwise LPs it skips; the wall
 relations read off the cached adjugates against one rational solve per
-facet."""
+facet; and the lattice facts cox_presentation relies on after
+require_smooth_complete: no torsion and |rays| - dim charge rows."""
 
 import functools
 import itertools
@@ -14,10 +15,11 @@ from fractions import Fraction
 import pytest
 
 from toricglsm import catalog, fan
+from toricglsm.cox import cox_presentation
 from toricglsm.delta import WeakDeltaCollection
 from toricglsm.fan import Fan, is_complete, validate_fan
 from toricglsm.forms import BinaryForm
-from toricglsm.lattice import IntMatrix, adjugate, rank, solve_rational
+from toricglsm.lattice import IntMatrix, adjugate, rank, smith_normal_form, solve_rational
 from toricglsm.ratlp import feasible
 
 
@@ -386,6 +388,17 @@ def test_walls_match_rational_reference():
         assert fan.walls(f) == reference_walls(f), f
         negative += any(det < 0 for det, _ in fan._inverses(f))
     assert negative >= len(images) // 2
+
+
+def test_smooth_complete_rays_span_the_lattice():
+    """The rays of a smooth complete fan span Z^dim, so the SNF of B^T has
+    no torsion and its kernel gives |rays| - dim charge rows."""
+    rng = random.Random(28)
+    bases = _base_fans()
+    for f in bases + [_signed_permutation(f, rng) for f in bases for _ in range(3)]:
+        snf = smith_normal_form(IntMatrix.from_rows(f.rays).transpose())
+        assert snf.diagonal() == (1,) * f.dim, f
+        assert cox_presentation(f).charge_matrix.rows == f.n_rays - f.dim, f
 
 
 def test_one_adjugate_per_maximal_cone(monkeypatch):

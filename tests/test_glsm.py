@@ -307,6 +307,19 @@ def test_unstable_supports_field_limit():
         unstable_supports(Q, (1,))
 
 
+@pytest.mark.parametrize("fi", [(), (1, 5)])
+def test_fi_length_checked_before_the_support(fi):
+    """An empty support has no generator to compare the FI vector with, so
+    its length is checked up front."""
+    Q = IntMatrix.from_rows([[1, 1, 1]])
+    message = "FI vector length must equal charge-matrix rows"
+    for support in ((), (0, 2)):
+        with pytest.raises(ValueError, match=message):
+            semistable(Q, support, fi)
+    with pytest.raises(ValueError, match=message):
+        unstable_supports(Q, fi)
+
+
 def test_pair_divisor_curve_p2(p2):
     pres = cox_presentation(p2)
     sign = pres.charge_matrix.at(0, 0)

@@ -1,6 +1,6 @@
-"""The minimal-transversal kernel, the rational solver and cone
-certificates, checked against the exhaustive subset searches they replaced
-and against sympy."""
+"""The minimal-transversal kernel, the stable-basis walk, the rational
+solver and cone certificates, checked against the exhaustive subset
+searches they replaced and against sympy."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricglsm import catalog
+from toricglsm import catalog, glsm, lattice
 from toricglsm.cox import cox_presentation, minimal_transversals, primitive_collections
 from toricglsm.glsm import UNSTABLE, kahler_cone_contains, semistable, unstable_supports
 from toricglsm.lattice import IntMatrix, solve_rational
@@ -48,6 +48,20 @@ def reference_unstable_supports(charges, fi):
             if semistable(charges, support, fi) == UNSTABLE:
                 found.append(comb)
     return found
+
+
+def subset_unstable_supports(charges, fi):
+    """The minimal transversals of the stable bases, with one rational solve
+    per column subset of size <= rows(Q)."""
+    r = charges.cols
+    rows = charges.to_rows()
+    bases = []
+    for size in range(min(charges.rows, r) + 1):
+        for basis in itertools.combinations(range(r), size):
+            rank, x = solve_rational([[row[i] for i in basis] for row in rows], fi)
+            if rank == size and x is not None and all(c >= 0 for c in x):
+                bases.append(basis)
+    return minimal_transversals(r, bases)
 
 
 def test_primitive_collections_match_reference():
@@ -127,6 +141,84 @@ def test_unstable_supports_match_reference_golden():
         for fi in fis + [kahler]:
             assert unstable_supports(Q, fi) == reference_unstable_supports(Q, fi), (name, fi)
         assert unstable_supports(Q, kahler) == list(primitive_collections(fan))
+
+
+def _random_charges(rng):
+    """k x r charges with entries in [-2, 2], some columns repeated or zero,
+    and at times a row that is a multiple of another (rank below k)."""
+    k, r = rng.randint(0, 4), rng.randint(0, 7)
+    cols = []
+    for _ in range(r):
+        roll = rng.random()
+        if cols and roll < 0.15:
+            cols.append(rng.choice(cols))
+        elif roll < 0.25:
+            cols.append((0,) * k)
+        else:
+            cols.append(tuple(rng.randint(-2, 2) for _ in range(k)))
+    rows = [[c[a] for c in cols] for a in range(k)]
+    if k >= 2 and rng.random() < 0.3:
+        m = rng.choice((-2, -1, 1, 2))
+        rows[-1] = [m * x for x in rows[0]]
+    return IntMatrix(k, r, tuple(x for row in rows for x in row))
+
+
+def _random_fis(Q, rng):
+    """Zero, generic Fraction and float FI vectors, and Q . lambda with some
+    lambda_i = 0, which lies on a wall when it is not zero."""
+    k, r = Q.rows, Q.cols
+    lam = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) * rng.randint(0, 1) for _ in range(r)]
+    return {
+        "zero": (0,) * k,
+        "fraction": tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)),
+        "float": tuple(rng.randint(-8, 8) / 4 for _ in range(k)),
+        "wall": tuple(sum(lam[i] * Q.at(a, i) for i in range(r)) for a in range(k)),
+    }
+
+
+def test_walk_matches_both_oracles_on_random_charges():
+    rng = random.Random(28)
+    shapes = set()
+    for _ in range(300):
+        Q = _random_charges(rng)
+        shapes.add((Q.rows == 0, Q.cols == 0))
+        for kind, fi in _random_fis(Q, rng).items():
+            got = unstable_supports(Q, fi)
+            assert got == subset_unstable_supports(Q, fi), (Q, kind, fi)
+            assert got == reference_unstable_supports(Q, fi), (Q, kind, fi)
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_walk_matches_subset_oracle_on_products():
+    rng = random.Random(29)
+    products = {
+        "P1^5": _block_charges((2,) * 5),
+        "P1^6": _block_charges((2,) * 6),
+        "P2^3": _block_charges((3, 3, 3)),
+        "P1xP1xP2": _block_charges((2, 2, 3)),
+    }
+    for name, Q in products.items():
+        fis = [(1,) * Q.rows, (0,) * Q.rows]
+        fis += [tuple(rng.randint(-2, 2) for _ in range(Q.rows)) for _ in range(3)]
+        for fi in fis:
+            assert unstable_supports(Q, fi) == subset_unstable_supports(Q, fi), (name, fi)
+
+
+def test_walk_pivots_once_per_nonempty_independent_set(monkeypatch):
+    """On P1^m the independent sets pick at most one field per factor: 3^m
+    of them, and the walk never pivots a dependent subset."""
+    calls = []
+
+    def counting(a, r, k, prev):
+        calls.append(k)
+        return lattice._step(a, r, k, prev)
+
+    monkeypatch.setattr(glsm, "_step", counting)
+    for m in range(1, 7):
+        calls.clear()
+        Q = _block_charges((2,) * m)
+        assert unstable_supports(Q, (1,) * m) == [(2 * i, 2 * i + 1) for i in range(m)]
+        assert len(calls) == 3**m - 1, m
 
 
 def _brute_transversals(n, edges):
