@@ -17,7 +17,7 @@ from .delta import (
 )
 from .fan import Fan, Wall, is_complete, is_smooth, prime_divisors_nef, validate_fan, walls
 from .forms import BinaryForm, Mobius, evaluate, format_form, gcd, linear_form_at, mul, parse_form, substitute
-from .glsm import GLSMProblem, SolveReport, kempf_ness_solve, moment_map, semistable, unstable_supports
+from .glsm import GLSMProblem, SolveReport, kempf_ness_solve, semistable, unstable_supports
 from .lattice import IntMatrix, SmithDecomposition, adjugate, smith_normal_form
 from .moduli import ModuliSummary, in_excluded_locus, sample, summarize
 

@@ -85,7 +85,7 @@ def cox_presentation(f: Fan) -> CoxPresentation:
     # the rank are a basis of ker B^T, |rays| - dim of them
     snf = smith_normal_form(B.transpose())
     kernel = [snf.V.column(j) for j in range(snf.rank(), f.n_rays)]
-    Q = IntMatrix.from_rows(kernel) if kernel else IntMatrix.zero(0, f.n_rays)
+    Q = IntMatrix.from_rows(kernel)
     return CoxPresentation(
         ray_matrix=B,
         charge_matrix=Q,

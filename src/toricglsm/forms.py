@@ -9,7 +9,6 @@ degeneracy decisions downstream hinge on exact gcd degrees.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -131,7 +130,10 @@ def parse_form(text: str, expected_degree=None) -> BinaryForm:
             if kind == "op":
                 break  # +/- starts the next term
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise FormSyntaxError("zero denominator", tpos) from None
                 i += 1
             else:  # variable, possibly with exponent
                 exp = 1
@@ -286,28 +288,23 @@ def _poly_trim(p):
     return p
 
 
-def _poly_divmod(p, q):
+def _poly_rem(p, q):
+    """Remainder of trimmed p by trimmed nonzero q."""
     p = list(p)
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q) and any(c != 0 for c in p):
-        _poly_trim(p)
-        if len(p) < len(q):
-            break
+    while len(p) >= len(q):
         f = p[-1] / q[-1]
         shift = len(p) - len(q)
-        out[shift] = f
         for i, c in enumerate(q):
             p[shift + i] -= f * c
-        p.pop()
-    return out, _poly_trim(p)
+        _poly_trim(p)
+    return p
 
 
 def _poly_gcd(p, q):
     p = _poly_trim(list(p))
     q = _poly_trim(list(q))
     while q:
-        _, r = _poly_divmod(p, q)
-        p, q = q, r
+        p, q = q, _poly_rem(p, q)
     if p:
         lead = p[-1]
         p = [c / lead for c in p]
@@ -342,74 +339,3 @@ def gcd(forms) -> BinaryForm:
     if not g:
         g = [Fraction(1)]
     return _homogenize(s, g)
-
-
-def divides(g: BinaryForm, f: BinaryForm) -> bool:
-    """Exact divisibility of binary forms (zero is divisible by anything nonzero)."""
-    if g.is_zero:
-        raise ValueError("division by the zero form")
-    if f.is_zero:
-        return True
-    sg, pg = _dehomogenize(g)
-    sf, pf = _dehomogenize(f)
-    if sg > sf:
-        return False
-    _, r = _poly_divmod(pf, pg)
-    return not r
-
-
-def rational_projective_roots(f: BinaryForm):
-    """Rational projective roots of a nonzero form, with multiplicities.
-
-    Returns a list of ((a, b), multiplicity) with primitive integer
-    representatives; [1:0] accounts for the z1-adic valuation.
-    """
-    if f.is_zero:
-        raise ValueError("zero form vanishes everywhere")
-    s, p = _dehomogenize(f)
-    roots = []
-    if s:
-        roots.append(((1, 0), s))
-    # rational root theorem on the primitive integer version of p
-    denom = math.lcm(*(c.denominator for c in p))
-    ip = [int(c * denom) for c in p]
-    content = math.gcd(*ip)
-    ip = [c // content for c in ip]
-    while len(ip) > 1:
-        lead, const = ip[-1], ip[0]
-        if const == 0:
-            # root z0 = 0, i.e. [0:1]
-            root = Fraction(0)
-        else:
-            root = None
-            for num in _divisors(abs(const)):
-                for den in _divisors(abs(lead)):
-                    for cand in (Fraction(num, den), Fraction(-num, den)):
-                        if sum(c * cand**i for i, c in enumerate(ip)) == 0:
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
-            if root is None:
-                break
-        mult = 0
-        poly = [Fraction(c) for c in ip]
-        while True:
-            q, r = _poly_divmod(poly, [-root, Fraction(1)])
-            if r:
-                break
-            poly = q
-            mult += 1
-        roots.append(((root.numerator, root.denominator), mult))
-        denom = math.lcm(*(c.denominator for c in poly)) if poly else 1
-        ip = [int(c * denom) for c in poly]
-        content = math.gcd(*ip) if any(ip) else 1
-        ip = [c // content for c in ip]
-    return roots
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out

@@ -90,15 +90,6 @@ class SolveReport(Record):
         super().__init__(status, t, gradient_norm, iterations, recession_direction)
 
 
-def moment_map(p: GLSMProblem):
-    """Q s - r, exactly."""
-    return tuple(
-        sum(p.charges.at(a, i) * p.amplitudes[i] for i in range(p.charges.cols))
-        - p.fi[a]
-        for a in range(p.charges.rows)
-    )
-
-
 def semistable(charges: IntMatrix, support, fi) -> str:
     """Exact position of the FI vector relative to cone{q_i : i in support}."""
     _check_fi(charges, fi)

@@ -87,8 +87,12 @@ def test_missing_file_is_domain_error(capsys):
         (["moduli-dim", "P2", "--degree", "1,x"], None,
          "error: P2: bad degree vector '1,x': expected comma-separated integers\n"),
         (["glsm-phase", "{tmp}/in.json"], b"\xff\xfe", "error: {tmp}/in.json: 'utf-8' codec"),
+        (["delta-check", "{tmp}/in.json"],
+         {"fan": "P1", "degrees": [1, 1], "sections": ["2/0*z0", "z1"]},
+         "error: {tmp}/in.json: zero denominator (at position 0)\n"),
     ],
-    ids=["unwritable-output", "missing-field", "unknown-name", "bad-degree", "not-utf8"],
+    ids=["unwritable-output", "missing-field", "unknown-name", "bad-degree", "not-utf8",
+         "zero-denominator"],
 )
 def test_one_error_line(capsys, tmp_path, argv, document, message):
     path = tmp_path / "in.json"

@@ -5,7 +5,12 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
 from toricglsm import catalog
-from toricglsm.cox import cox_presentation, outside_irrelevant_locus, primitive_collections
+from toricglsm.cox import (
+    CoxPresentation,
+    cox_presentation,
+    outside_irrelevant_locus,
+    primitive_collections,
+)
 from toricglsm.fan import Fan
 from toricglsm.lattice import IntMatrix, smith_normal_form
 
@@ -97,3 +102,19 @@ def test_ray_limit():
     big = catalog.projective_space(16)  # 17 rays
     with pytest.raises(ValueError):
         primitive_collections(big)
+
+
+def test_sixteen_rays_accepted():
+    # P15 has 16 rays, the most the search takes; its only collection is all of them
+    assert primitive_collections(catalog.projective_space(15)) == (tuple(range(16)),)
+
+
+def test_zero_dimensional_presentation():
+    point = Fan(dim=0, rays=(), max_cones=((),))
+    assert cox_presentation(point) == CoxPresentation(
+        ray_matrix=IntMatrix(0, 0, ()),
+        charge_matrix=IntMatrix(0, 0, ()),
+        pic_rank=0,
+        irrelevant_generators=((),),
+        primitive_collections=(),
+    )

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from toricglsm import catalog, delta, forms, jsonio, moduli
 from toricglsm.cli import main
@@ -21,6 +22,14 @@ from toricglsm.delta import (
     scale_sections,
 )
 from toricglsm.forms import BinaryForm, parse_form
+
+
+def _rational_roots(f):
+    """Rational projective roots of a nonzero form, by sympy: [r:1] for each
+    rational root r of f(z0, 1), and [1:0] when z1 divides f."""
+    values = [sympy.Rational(c.numerator, c.denominator) for c in f.coefficients]
+    roots = sympy.Poly(values, sympy.Symbol("z0"), domain="QQ").ground_roots()
+    return [(r.p, r.q) for r in roots] + [(1, 0)] * (f.coefficients[0] == 0)
 
 
 def coll(fan, degrees, sections, triv=None):
@@ -104,7 +113,7 @@ def _random_collection(rng, fan, d, allow_zero=False, bound=3):
     return WeakDeltaCollection(fan, tuple(d), tuple(sections))
 
 
-def test_planted_degeneracy(p2, p1xp1):
+def test_planted_degeneracy(p2, p1xp1, sympy_divides):
     rng = random.Random(12)
     count = 0
     for fan in (p2, p1xp1):
@@ -121,7 +130,7 @@ def test_planted_degeneracy(p2, p1xp1):
                 tuple(forms.mul(u, ell) for u in c.sections),
             )
             assert not is_nondegenerate(planted)
-            assert forms.divides(ell, base_divisor(planted))
+            assert sympy_divides(ell, base_divisor(planted))
     assert count == 200
 
 
@@ -136,7 +145,7 @@ def test_base_divisor_roots_hit_irrelevant_locus(p2, p1xp1):
                 continue
             bd = base_divisor(c)
             if bd.degree > 0:
-                for point, _mult in forms.rational_projective_roots(bd):
+                for point in _rational_roots(bd):
                     zs = {
                         i for i, u in enumerate(c.sections)
                         if u.is_zero or forms.evaluate(u, point) == 0
@@ -281,6 +290,39 @@ def test_shape_mismatch_rejected(p2, p1xp1):
     b = coll(p1xp1, (1, 1, 0, 0), ["z0", "z1", "1", "1"])
     with pytest.raises(ValueError):
         isomorphic(a, b)
+
+
+def test_isomorphic_rejects_a_different_degree_or_fan(p1):
+    # each call differs from a valid pair in one input only
+    low = coll(p1, (1, 1), ["z0", "z1"])
+    high = coll(p1, (2, 2), ["z0^2", "z1^2"])
+    with pytest.raises(ValueError):
+        isomorphic(low, high)
+    sections = ["z0", "z1", "z0", "z1"]
+    f0 = coll(catalog.by_name("F0"), (1, 1, 1, 1), sections)
+    p1xp1 = coll(catalog.by_name("P1xP1"), (1, 1, 1, 1), sections)
+    with pytest.raises(ValueError):
+        isomorphic(f0, p1xp1)
+
+
+def test_free_scalar_roots_of_fractions_and_negatives():
+    # F2, d = (1, 0, 1, 2), zero sections at rays 0 and 2: the free scalars
+    # need a square root of the trivialization ratio, 1/4 (rational) or
+    # -1/4 (only over the closure)
+    f2 = catalog.by_name("F2")
+    sections = (BinaryForm.zero(1), parse_form("1"), BinaryForm.zero(1),
+                parse_form("z0^2 + z1^2"))
+
+    def with_triv(t):
+        return WeakDeltaCollection(f2, (1, 0, 1, 2), sections, trivializations=t)
+
+    base = with_triv((1, 1))
+    quarter = with_triv((1, Fraction(1, 4)))
+    v = isomorphic(base, quarter)
+    assert v.status == "isomorphic_rational"
+    assert v.witness == (Fraction(1, 2), 1, Fraction(1, 2), 1)
+    _check_witness(f2, base, quarter, v.witness)
+    assert isomorphic(base, with_triv((1, Fraction(-1, 4)))).status == "isomorphic_over_closure"
 
 
 def test_excluded_locus_bridge(p2, p1xp1):

@@ -1,6 +1,6 @@
 import pytest
 
-from toricglsm import cox, fan, glsm
+from toricglsm import cox, fan, glsm, jsonio
 from toricglsm.fan import (
     Fan,
     is_complete,
@@ -44,6 +44,11 @@ def test_nonprimitive_ray_invalid():
 def test_duplicate_ray_invalid():
     f = Fan(dim=2, rays=((1, 0), (1, 0)), max_cones=((0,), (1,)))
     assert any("duplicate" in i for i in validate_fan(f).issues)
+
+
+def test_cone_index_equal_to_ray_count_is_an_issue():
+    f = jsonio.fan_from_dict({"rays": [[1], [-1]], "max_cones": [[1], [0], [2]]})
+    assert validate_fan(f).issues == ("cone 2 has a ray index out of range",)
 
 
 def test_smooth(p2, golden_fans):

@@ -15,7 +15,6 @@ from toricglsm.glsm import (
     GLSMProblem,
     kahler_cone_contains,
     kempf_ness_solve,
-    moment_map,
     pair_divisor_curve,
     semistable,
     unstable_supports,
@@ -25,21 +24,6 @@ from toricglsm.lattice import IntMatrix
 
 def charges_of(fan):
     return cox_presentation(fan).charge_matrix
-
-
-def test_moment_map_exact(p2):
-    Q = charges_of(p2)
-    sign = Q.at(0, 0)  # kernel basis is (1,1,1) up to a global sign
-    p = GLSMProblem(
-        charges=Q,
-        fi=(sign,),
-        amplitudes=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-    )
-    assert moment_map(p) == (0,)
-    p2_ = GLSMProblem(charges=Q, fi=(sign,), amplitudes=(1, 0, 0))
-    assert moment_map(p2_) == (0,)
-    p3 = GLSMProblem(charges=Q, fi=(2 * sign,), amplitudes=(1, 0, 0))
-    assert moment_map(p3) == (-sign,)
 
 
 def test_problem_validation(p2):
@@ -191,6 +175,16 @@ def test_solver_stops_at_float_resolution():
         assert _residual(p, rep.t) <= 1e-14 * float(fi[0]), rows
 
 
+def test_solver_floor_counts_the_weights():
+    # r = 3 is small, but the weights 1e12 put the gradient's rounding noise
+    # (~2.4e-4) above tol: the floor must read sum_i |q_ia| w_i, not r alone
+    p = GLSMProblem(charges=IntMatrix.from_rows([[1, -1]]), fi=(3,),
+                    amplitudes=(10**12, 10**12))
+    rep = kempf_ness_solve(p)
+    assert rep.status == "Converged" and rep.iterations == 1
+    assert 1e-4 < rep.gradient_norm < 1e-3
+
+
 def test_solver_without_charge_rows():
     # no gauge group: the empty FI vector is in every cone, f is constant
     p = GLSMProblem(charges=IntMatrix(0, 2, ()), fi=(), amplitudes=(1, 2))
@@ -305,6 +299,11 @@ def test_unstable_supports_field_limit():
     Q = IntMatrix.from_rows([[1] * 17])
     with pytest.raises(ValueError):
         unstable_supports(Q, (1,))
+
+
+def test_unstable_supports_accepts_sixteen_fields():
+    Q = IntMatrix.from_rows([[1] * 16])
+    assert unstable_supports(Q, (1,)) == [tuple(range(16))]
 
 
 @pytest.mark.parametrize("fi", [(), (1, 5)])

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,6 +244,11 @@ def _brute_transversals(n, edges):
 def test_minimal_transversals_brute_force(case):
     n, edges = case
     assert minimal_transversals(n, edges) == _brute_transversals(n, edges)
+
+
+def test_minimal_transversals_reject_the_vertex_n():
+    with pytest.raises(ValueError):
+        minimal_transversals(3, [(3,)])
 
 
 _small = st.integers(-3, 3)
