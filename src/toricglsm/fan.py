@@ -28,7 +28,7 @@ from ._record import Record, setfield
 from .lattice import IntMatrix, adjugate, rank, smith_normal_form
 from . import ratlp
 
-FAN_CACHE_SIZE = 256  # bounds every per-fan cache (fan, cox, glsm): memory stays flat
+FAN_CACHE_SIZE = 256  # bounds every per-fan cache (fan, cox, glsm) and glsm._position: memory stays flat
 
 
 class Fan(Record, compare=("dim", "rays", "max_cones")):

@@ -10,20 +10,22 @@ Kempf-Ness function
     f(t) = sum_i s_i exp(2 <q_i, t>) - 2 <r, t>,   grad f = 2 (Q s(t) - r),
 
 with damped Newton steps.  Stability verdicts are exact (Fourier-Motzkin
-over the rationals) and serve as the solver's oracle; floating point is
-confined to the Newton iteration, which runs on Python floats.  Its step is
-E^T z, where the rows of E are a basis of the support charges' span and z
-solves (E H E^T) z = -E grad f exactly (lattice.solve_rational on the float
-entries), so t stays in that span.  Armijo backtracking is skipped, and the
-full step taken, once the decrease -grad f . step falls below f's float
-resolution (_RESOLUTION |f|): below it a line search accepts rounding noise
+over the rationals, decided once per FI vector and support and cached for
+semistable and the solver's pre-check) and serve as the solver's oracle;
+floating point is confined to the Newton iteration, which runs on Python
+floats.  Its step is E^T z, where the rows of E are a basis of the support
+charges' span and z solves (E H E^T) z = -E grad f exactly
+(lattice._eliminate on the entries' integer ratios, each z_j rounded once),
+so t stays in that span.  Armijo backtracking is skipped, and the full step
+taken, once the decrease -grad f . step falls below f's float resolution
+(_RESOLUTION |f|): below it a line search accepts rounding noise
 (Boyd-Vandenberghe, Convex Optimization, 9.5).  For the same reason the
-solve stops once |grad f|_inf < max(tol, 128 eps max_a (|r_a| + sum_i
-|q_ia| w_i)), w_i = s_i exp(2 <q_i, t>): below that floor the gradient's
-entries are rounding noise of their largest terms.  Gauge couplings are set
-to 1 (they rescale the equation without moving its zero set), the
-superpotential is zero, and the extra scalar multiplet is frozen at zero as
-in the geometric phase.
+solve stops once |grad f|_inf < max(tol, 128 eps max_a (|r_a| + sum_i |q_ia|
+w_i)), w_i = s_i exp(2 <q_i, t>): below that floor the gradient's entries
+are rounding noise of their largest terms.  Gauge couplings are set to 1
+(they rescale the equation without moving its zero set), the superpotential
+is zero, and the extra scalar multiplet is frozen at zero as in the
+geometric phase.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import ratlp
 from ._record import Record
 from .cox import CoxPresentation, minimal_transversals
 from .fan import FAN_CACHE_SIZE, Fan, walls
-from .lattice import IntMatrix, _integer_row, _step, pivot_columns, solve_rational
+from .lattice import IntMatrix, _eliminate, _integer_row, _step, pivot_columns, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -96,13 +99,18 @@ def semistable(charges: IntMatrix, support, fi) -> str:
     support = sorted(set(support))
     if any(i < 0 or i >= charges.cols for i in support):
         raise ValueError("support index out of range")
-    gens = [charges.column(i) for i in support]
-    where, _ = ratlp.in_cone(fi, gens)
+    where, _ = _position(tuple(fi), tuple(charges.column(i) for i in support))
     return {
         "interior": INTERIOR_STABLE,
         "boundary": BOUNDARY_MARGINAL,
         "outside": UNSTABLE,
     }[where]
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _position(fi, gens):
+    """ratlp.in_cone, shared by semistable and the Kempf-Ness pre-check."""
+    return ratlp.in_cone(fi, gens)
 
 
 def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
@@ -117,8 +125,8 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    cols = [p.charges.column(i) for i in p.support]
-    where, u = ratlp.in_cone(p.fi, cols)
+    cols = tuple(p.charges.column(i) for i in p.support)
+    where, u = _position(p.fi, cols)
     if where != "interior":
         direction = _floats(-x for x in u) if u is not None else None
         return SolveReport(status="Unstable", recession_direction=direction)
@@ -126,9 +134,11 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     k = p.charges.rows
     # rows of E: the support charges independent of those before them
     basis = [cols[j] for j in pivot_columns(IntMatrix.from_rows(zip(*cols)))]
-    proj = [[_dot(e, q) for e in basis] for q in cols]  # E q_i
+    eq = [[_dot(e, q) for q in cols] for e in basis]  # rows of E Q
     qs = [_floats(q) for q in cols]
-    s = _floats(p.amplitudes[i] for i in p.support)
+    rows = [[q[a] for q in qs] for a in range(k)]
+    abs_rows = [list(map(abs, row)) for row in rows]
+    s = _floats(x for x in p.amplitudes if x > 0)  # the support's amplitudes
     r = _floats(p.fi)
 
     def at(t):
@@ -140,21 +150,20 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
         return w, sum(w) - 2.0 * _dot(r, t)
 
     def gradient(w):
-        return [2.0 * (sum(q[a] * x for q, x in zip(qs, w)) - r[a]) for a in range(k)]
+        return [2.0 * (_dot(row, w) - x) for row, x in zip(rows, r)]
 
     t = [0.0] * k
     w, f = at(t)
     g = gradient(w)
     for it in range(max_iter + 1):
         gnorm = max(map(abs, g), default=0.0)
-        floor = _FLOOR * max((abs(r[a]) + sum(abs(q[a]) * x for q, x in zip(qs, w))
-                              for a in range(k)), default=0.0)
+        floor = _FLOOR * max((abs(x) + _dot(row, w) for row, x in zip(abs_rows, r)), default=0.0)
         if gnorm < tol or gnorm < floor < math.inf:  # no floor once a weight overflows
             return SolveReport(status="Converged", t=tuple(t), gradient_norm=gnorm, iterations=it)
         if it == max_iter:
             break
         eg = [_dot(e, g) for e in basis]
-        z = _newton_coords(proj, w, eg)
+        z = _newton_coords(eq, w, eg)
         if z is None or not _dot(eg, z) < 0:
             z = [-x for x in eg]  # fall back to steepest descent
         step = [sum(e[a] * x for e, x in zip(basis, z)) for a in range(k)]  # E^T z
@@ -171,23 +180,28 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     return SolveReport(status="IterationLimit", gradient_norm=gnorm, iterations=max_iter)
 
 
-def _newton_coords(proj, w, eg):
-    """z with (E H E^T) z = -E g, where E H E^T = 4 sum_i w_i (E q_i)(E q_i)^T,
-    solved exactly on the float entries; None where that fails."""
+def _newton_coords(eq, w, eg):
+    """z with (E H E^T) z = -E g, where E H E^T = 4 sum_i w_i (E q_i)(E q_i)^T
+    and eq holds the rows of E Q, solved exactly; None where that fails."""
     m = len(eg)
-    rows = [[4.0 * sum(x * p[b] * p[c] for x, p in zip(w, proj)) for c in range(m)]
-            for b in range(m)]
-    if not all(map(math.isfinite, itertools.chain(eg, *rows))):
+    hess = [[4.0 * sum(map(mul, map(mul, w, b), c)) for c in eq] for b in eq]
+    if not all(map(math.isfinite, itertools.chain(eg, *hess))):
         return None
-    _, z = solve_rational(rows, [-x for x in eg])
+    a = [_integer_row([*row, -x]) for row, x in zip(hess, eg)]
+    pivots, d, _ = _eliminate(a, m)
+    if any(row[m] for row in a[len(pivots):]):
+        return None  # inconsistent
+    z = [0.0] * m  # free variables at 0
     try:
-        return None if z is None else [float(x) for x in z]
+        for row, j in zip(a, pivots):
+            z[j] = row[m] / d if row[m] else 0.0  # int / int rounds once; 0 / -1 is -0.0
     except OverflowError:  # a coordinate beyond float range
         return None
+    return z
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def unstable_supports(charges: IntMatrix, fi):

@@ -96,7 +96,12 @@ def collection_from_dict(obj) -> WeakDeltaCollection:
     raw = _list(obj["sections"], "sections", entries=str)
     if len(raw) != len(degrees):
         raise ValueError("sections and degrees must have the same length")
-    sections = [parse_form(s, expected_degree=d) for s, d in zip(raw, degrees)]
+    sections = []
+    for i, (s, d) in enumerate(zip(raw, degrees)):
+        try:
+            sections.append(parse_form(s, expected_degree=d))
+        except ValueError as exc:
+            raise ValueError(f"sections[{i}]: {exc}") from None
     triv = obj.get("trivializations")
     if triv is not None:
         triv = [rational_from_str(t) for t in _list(triv, "trivializations")]

@@ -106,14 +106,10 @@ def _step(a, r, k, prev):
 
 
 def _integer_row(row):
-    """The row times the lcm of its denominators, as ints (floats exactly)."""
-    try:
-        dens = [x.denominator for x in row]
-    except AttributeError:  # a float
-        row = list(map(Fraction, row))
-        dens = [x.denominator for x in row]
-    den = math.lcm(*dens)
-    return [x.numerator * (den // q) for x, q in zip(row, dens)]
+    """The row times the lcm of its as_integer_ratio() denominators, as ints."""
+    ratios = [x.as_integer_ratio() for x in row]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios]
 
 
 def adjugate(A: IntMatrix):

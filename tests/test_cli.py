@@ -89,10 +89,13 @@ def test_missing_file_is_domain_error(capsys):
         (["glsm-phase", "{tmp}/in.json"], b"\xff\xfe", "error: {tmp}/in.json: 'utf-8' codec"),
         (["delta-check", "{tmp}/in.json"],
          {"fan": "P1", "degrees": [1, 1], "sections": ["2/0*z0", "z1"]},
-         "error: {tmp}/in.json: zero denominator (at position 0)\n"),
+         "error: {tmp}/in.json: sections[0]: zero denominator (at position 0)\n"),
+        (["delta-check", "{tmp}/in.json"],
+         {"fan": "P1", "degrees": [1, 1], "sections": ["z1", "2/0*z0"]},
+         "error: {tmp}/in.json: sections[1]: zero denominator (at position 0)\n"),
     ],
     ids=["unwritable-output", "missing-field", "unknown-name", "bad-degree", "not-utf8",
-         "zero-denominator"],
+         "zero-denominator", "zero-denominator-second-section"],
 )
 def test_one_error_line(capsys, tmp_path, argv, document, message):
     path = tmp_path / "in.json"
@@ -494,6 +497,28 @@ def test_fan_check_and_cox_stdout_bytes(capsys, tmp_path, cmd, source, json_payl
 _FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [0, 2], [1, 2]]}
 _GLSM = {"charges": [[1, 1, 1]], "fi": ["1"], "amplitudes": ["1", "1", "1"]}
 _COLLECTION = {"fan": "P2", "degrees": [1, 1, 1], "sections": ["z0", "z1", "z0 + z1"]}
+_UNSTABLE = {"charges": [[2, -1, 1], [1, 3, -2]], "fi": ["-7/3", "5"], "amplitudes": ["1", "1/2", "2"]}
+
+
+@pytest.mark.parametrize(
+    "cmd, problem, fmt, stdout",
+    [
+        ("glsm-solve", _GLSM, "text",
+         "status: Converged\nt: -0.549306144327\ngradient sup-norm: 2.644e-11\niterations: 5\n"),
+        ("glsm-solve", _GLSM, "json",
+         '{\n  "gradient_norm": 2.6437518840793928e-11,\n  "iterations": 5,\n'
+         '  "recession_direction": null,\n  "status": "Converged",\n'
+         '  "t": [\n    -0.5493061443274454\n  ]\n}\n'),
+        ("glsm-phase", _GLSM, "text", "minimal unstable zero-sets: {0,1,2}\n"),
+        ("glsm-solve", _UNSTABLE, "text", "status: Unstable\niterations: 0\n"),
+        ("glsm-phase", _UNSTABLE, "text", "minimal unstable zero-sets: {}\n"),
+    ],
+    ids=["solve-text", "solve-json", "phase-text", "unstable-solve-text", "unstable-phase-text"],
+)
+def test_glsm_stdout_bytes(capsys, tmp_path, cmd, problem, fmt, stdout):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(problem))
+    assert run(capsys, cmd, str(path), "--format", fmt) == (0, stdout, "")
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from toricglsm import glsm
+from toricglsm import glsm, ratlp
 from toricglsm.cox import cox_presentation, primitive_collections
-from toricglsm.fan import walls
+from toricglsm.fan import FAN_CACHE_SIZE, walls
 from toricglsm.glsm import (
     BOUNDARY_MARGINAL,
     INTERIOR_STABLE,
@@ -19,7 +19,8 @@ from toricglsm.glsm import (
     semistable,
     unstable_supports,
 )
-from toricglsm.lattice import IntMatrix
+from toricglsm.lattice import IntMatrix, solve_rational
+from toricglsm.ratlp import in_cone
 
 
 def charges_of(fan):
@@ -360,3 +361,88 @@ def test_kahler_cone_matches_wall_pairings(golden_fans):
         for a in itertools.product(range(-3, 4), repeat=pres.pic_rank):
             expected = all(pair_divisor_curve(pres, a, w.relation) > 0 for w in ws)
             assert kahler_cone_contains(f, pres, a) == expected, (f.name, a)
+
+
+def _newton_coords_by_fractions(eq, w, eg):
+    # the exact route the solver took before: solve_rational on the float
+    # Hessian, then float() of each Fraction
+    m = len(eg)
+    proj = list(zip(*eq))
+    rows = [[4.0 * sum(x * p[b] * p[c] for x, p in zip(w, proj)) for c in range(m)]
+            for b in range(m)]
+    if not all(map(math.isfinite, itertools.chain(eg, *rows))):
+        return None
+    _, z = solve_rational(rows, [-x for x in eg])
+    try:
+        return None if z is None else [float(x) for x in z]
+    except OverflowError:
+        return None
+
+
+def _bits(z):
+    return None if z is None else [x.hex() for x in z]
+
+
+def test_newton_coords_match_the_fraction_route_bit_for_bit():
+    rng = random.Random(7)
+    cases = [
+        # a zero weight leaves the Hessian singular: consistent (free
+        # coordinate 0.0) and inconsistent right-hand sides
+        ([[1, 0], [0, 1]], [1.5, 0.0], [0.75, 0.0]),
+        ([[1, 0], [0, 1]], [1.5, 0.0], [0.75, -0.5]),
+        # weights past float range: an infinite Hessian
+        ([[1, 2], [3, -1]], [1e308, 1e308], [1.0, 2.0]),
+        # a subnormal Hessian entry: the coordinate overflows
+        ([[1]], [5e-324], [1e300]),
+        # rounding leaves this Hessian indefinite (last pivot < 0) with a
+        # coordinate exactly 0, which must read 0.0, not 0 / d = -0.0
+        ([[2, -1, -1, 0, -2, 0], [-1, 1, 0, -2, -1, -2], [1, 3, -2, 2, 1, 2]],
+         [0.00017428288583099517, 0.9116250227566918, 9.675166616598926e-23,
+          4.57972180539535e+28, 10826032.684516657, 1.128427086306473e-23], [2.0, 0.0, 0.0]),
+    ]
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        n = rng.randint(m, 7)
+        eq = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        w = [rng.choice((0.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for _ in range(n)]
+        eg = [rng.uniform(-1, 1) * 10.0 ** rng.uniform(-8, 8) for _ in range(m)]
+        cases.append((eq, w, eg))
+    outcomes = set()
+    for eq, w, eg in cases:
+        old = _newton_coords_by_fractions(eq, w, eg)
+        assert _bits(glsm._newton_coords(eq, w, eg)) == _bits(old), (eq, w, eg)
+        outcomes.add(old is None)
+    assert outcomes == {True, False}
+    assert glsm._newton_coords([[1, 0], [0, 1]], [1.5, 0.0], [0.75, 0.0]) == [-0.125, 0.0]
+    for eq, w, eg in cases[1:4]:
+        assert glsm._newton_coords(eq, w, eg) is None
+
+
+def test_semistable_and_solver_share_one_cone_decision(monkeypatch):
+    calls = []
+
+    def counted(point, generators):
+        calls.append(point)
+        return in_cone(point, generators)
+
+    monkeypatch.setattr(ratlp, "in_cone", counted)
+    glsm._position.cache_clear()
+    Q = IntMatrix.from_rows([[1, 0, 1, 2], [0, 1, 0, 1]])
+    assert semistable(Q, (0, 1, 2, 3), (2, 1)) == INTERIOR_STABLE
+    p = GLSMProblem(charges=Q, fi=(2, 1), amplitudes=(1, Fraction(1, 2), 1, 2))
+    assert kempf_ness_solve(p).status == "Converged"
+    assert len(calls) == 1
+    assert semistable(Q, (0, 1, 2, 3), (Fraction(-5), Fraction(3, 2))) == UNSTABLE
+    p = GLSMProblem(charges=Q, fi=(-5, Fraction(3, 2)), amplitudes=(1, 1, 1, 1))
+    assert kempf_ness_solve(p).recession_direction == (-0.2, 0.0)
+    assert len(calls) == 2
+
+
+def test_cone_decision_cache_is_bounded():
+    glsm._position.cache_clear()
+    Q = IntMatrix.from_rows([[1, 1, 1]])
+    for c in range(2 * FAN_CACHE_SIZE):
+        assert semistable(Q, (0, 1, 2), (c + 1,)) == INTERIOR_STABLE
+    info = glsm._position.cache_info()
+    assert info.misses == 2 * FAN_CACHE_SIZE
+    assert info.currsize <= FAN_CACHE_SIZE
