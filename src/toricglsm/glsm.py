@@ -15,8 +15,8 @@ semistable and the solver's pre-check) and serve as the solver's oracle;
 floating point is confined to the Newton iteration, which runs on Python
 floats.  Its step is E^T z, where the rows of E are a basis of the support
 charges' span and z solves (E H E^T) z = -E grad f exactly
-(lattice._eliminate on the entries' integer ratios, each z_j rounded once),
-so t stays in that span.  Armijo backtracking is skipped, and the full step
+(lattice.solve_rational on the float entries' integer ratios), so t
+stays in that span.  Armijo backtracking is skipped, and the full step
 taken, once the decrease -grad f . step falls below f's float resolution
 (_RESOLUTION |f|): below it a line search accepts rounding noise
 (Boyd-Vandenberghe, Convex Optimization, 9.5).  For the same reason the
@@ -41,7 +41,7 @@ from . import ratlp
 from ._record import Record
 from .cox import CoxPresentation, minimal_transversals
 from .fan import FAN_CACHE_SIZE, Fan, walls
-from .lattice import IntMatrix, _eliminate, _integer_row, _step, pivot_columns, solve_rational
+from .lattice import IntMatrix, _integer_row, _step, pivot_columns, solve_rational
 
 INTERIOR_STABLE = "InteriorStable"
 BOUNDARY_MARGINAL = "BoundaryMarginal"
@@ -125,7 +125,8 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    cols = tuple(p.charges.column(i) for i in p.support)
+    support = p.support
+    cols = tuple(p.charges.column(i) for i in support)
     where, u = _position(p.fi, cols)
     if where != "interior":
         direction = _floats(-x for x in u) if u is not None else None
@@ -138,7 +139,7 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
     qs = [_floats(q) for q in cols]
     rows = [[q[a] for q in qs] for a in range(k)]
     abs_rows = [list(map(abs, row)) for row in rows]
-    s = _floats(x for x in p.amplitudes if x > 0)  # the support's amplitudes
+    s = _floats(p.amplitudes[i] for i in support)
     r = _floats(p.fi)
 
     def at(t):
@@ -182,22 +183,16 @@ def kempf_ness_solve(p: GLSMProblem, tol=1e-8, max_iter=200) -> SolveReport:
 
 def _newton_coords(eq, w, eg):
     """z with (E H E^T) z = -E g, where E H E^T = 4 sum_i w_i (E q_i)(E q_i)^T
-    and eq holds the rows of E Q, solved exactly; None where that fails."""
-    m = len(eg)
+    and eq holds the rows of E Q, solved exactly on the float entries; None
+    where that fails."""
     hess = [[4.0 * sum(map(mul, map(mul, w, b), c)) for c in eq] for b in eq]
     if not all(map(math.isfinite, itertools.chain(eg, *hess))):
         return None
-    a = [_integer_row([*row, -x]) for row, x in zip(hess, eg)]
-    pivots, d, _ = _eliminate(a, m)
-    if any(row[m] for row in a[len(pivots):]):
-        return None  # inconsistent
-    z = [0.0] * m  # free variables at 0
+    _, z = solve_rational(hess, [-x for x in eg])
     try:
-        for row, j in zip(a, pivots):
-            z[j] = row[m] / d if row[m] else 0.0  # int / int rounds once; 0 / -1 is -0.0
+        return None if z is None else [float(x) for x in z]
     except OverflowError:  # a coordinate beyond float range
         return None
-    return z
 
 
 def _dot(a, b):

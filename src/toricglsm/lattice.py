@@ -106,8 +106,12 @@ def _step(a, r, k, prev):
 
 
 def _integer_row(row):
-    """The row times the lcm of its as_integer_ratio() denominators, as ints."""
-    ratios = [x.as_integer_ratio() for x in row]
+    """The row times the lcm of its as_integer_ratio() denominators, as ints
+    (entries without one, such as the str "1/2", are read as Fractions)."""
+    try:
+        ratios = [x.as_integer_ratio() for x in row]
+    except AttributeError:
+        ratios = [Fraction(x).as_integer_ratio() for x in row]
     den = math.lcm(*(q for _, q in ratios))
     return [p * (den // q) for p, q in ratios]
 

@@ -364,8 +364,8 @@ def test_kahler_cone_matches_wall_pairings(golden_fans):
 
 
 def _newton_coords_by_fractions(eq, w, eg):
-    # the exact route the solver took before: solve_rational on the float
-    # Hessian, then float() of each Fraction
+    # the Hessian summed term by term over the columns E q_i, as the solver
+    # once did, then solve_rational and float() of each Fraction
     m = len(eg)
     proj = list(zip(*eq))
     rows = [[4.0 * sum(x * p[b] * p[c] for x, p in zip(w, proj)) for c in range(m)]
@@ -395,7 +395,7 @@ def test_newton_coords_match_the_fraction_route_bit_for_bit():
         # a subnormal Hessian entry: the coordinate overflows
         ([[1]], [5e-324], [1e300]),
         # rounding leaves this Hessian indefinite (last pivot < 0) with a
-        # coordinate exactly 0, which must read 0.0, not 0 / d = -0.0
+        # coordinate exactly 0, which must read 0.0, not -0.0
         ([[2, -1, -1, 0, -2, 0], [-1, 1, 0, -2, -1, -2], [1, 3, -2, 2, 1, 2]],
          [0.00017428288583099517, 0.9116250227566918, 9.675166616598926e-23,
           4.57972180539535e+28, 10826032.684516657, 1.128427086306473e-23], [2.0, 0.0, 0.0]),
@@ -436,6 +436,13 @@ def test_semistable_and_solver_share_one_cone_decision(monkeypatch):
     p = GLSMProblem(charges=Q, fi=(-5, Fraction(3, 2)), amplitudes=(1, 1, 1, 1))
     assert kempf_ness_solve(p).recession_direction == (-0.2, 0.0)
     assert len(calls) == 2
+
+
+def test_fi_entries_given_as_strings_are_read_as_fractions():
+    Q = IntMatrix.from_rows([[1, 0, 1, 2], [0, 1, 0, 1]])
+    assert semistable(Q, (0, 1, 2, 3), ("1/2", "3")) == INTERIOR_STABLE
+    assert semistable(Q, (0, 1, 2, 3), ("0", "1")) == BOUNDARY_MARGINAL
+    assert unstable_supports(Q, ("1/2", "3")) == unstable_supports(Q, (Fraction(1, 2), 3))
 
 
 def test_cone_decision_cache_is_bounded():
